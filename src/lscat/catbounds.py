@@ -2,10 +2,9 @@
 
 Three rules produce every bound in the table:
 
-* cup_length: the longest nonzero product of positive-degree classes in an
-  exterior algebra is a lower bound for the category; for m generators it
-  equals m, which is recomputed here by an explicit nilpotent-product
-  search rather than assumed.
+* cup_length: the longest nonzero product of positive-degree classes is a
+  lower bound for the category; in an exterior algebra the product of all
+  m generators is the top class, so the cup length is exactly m.
 * ganea_upper: an (r-1)-connected complex of dimension d has category at
   most floor(d / r).
 * kahler_cat: a simply connected complex d-manifold carrying a Kahler
@@ -82,26 +81,12 @@ class SpaceDescriptor:
 
 
 def cup_length(spec: GradedAlgebraSpec) -> int:
-    """Longest nonzero product of generators, found by explicit search.
+    """Longest nonzero product of generators: the generator count.
 
-    Monomials are sets of generator indices; multiplying repeats an index
-    and gives zero, so the frontier at depth k is exactly the nonzero
-    k-fold products.  The search runs until the frontier dies, which for m
-    generators happens after depth m.
+    Every generator squares to zero, so a nonzero product uses each at most
+    once, and the product of all m of them is the nonzero top class.
     """
-    m = len(spec.generators)
-    best = 0
-    frontier: set[frozenset[int]] = {frozenset()}
-    while frontier:
-        grown: set[frozenset[int]] = set()
-        for mono in frontier:
-            for g in range(m):
-                if g not in mono:
-                    grown.add(mono | {g})
-        if grown:
-            best += 1
-        frontier = grown
-    return best
+    return len(spec.generators)
 
 
 def ganea_upper(dimension: int, connectivity_r: int) -> int:

@@ -54,6 +54,17 @@ def _tolerances(args) -> Tolerances:
     )
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of --count, --steps and --trials: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _kind_from_flags(parser, args) -> SpaceKind:
     if args.space is None or args.n is None:
         parser.error("--space and --n are required here")
@@ -104,7 +115,7 @@ def _resolve_alpha(parser, args, point: SpacePoint, tol: Tolerances) -> float:
 
 def _cmd_sample(parser, args) -> int:
     kind = _kind_from_flags(parser, args)
-    points = sample_points(kind, args.count, args.seed, _tolerances(args))
+    points = sample_points(kind, args.count, args.seed)
     for point in points:
         _emit(point_to_json(point))
     _note(f"sampled {len(points)} point(s) of {kind.family.value}({kind.n})")
@@ -232,17 +243,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_input=True, input_default="-"):
+    def add_space(p):
         p.add_argument("--space", choices=["ai", "aii"], help="family of bare-matrix input")
         p.add_argument("--n", type=int, help="family parameter n")
+
+    def add_common(p, input_default="-"):
+        add_space(p)
         p.add_argument("--tol", type=float, default=None, help="membership tolerance override")
-        if with_input:
-            p.add_argument("--input", default=input_default,
-                           help="path to NDJSON records, '-' for stdin")
+        p.add_argument("--input", default=input_default,
+                       help="path to NDJSON records, '-' for stdin")
 
     p = sub.add_parser("sample", help="draw seeded points of a space")
-    add_common(p, with_input=False)
-    p.add_argument("--count", type=int, default=1)
+    add_space(p)
+    p.add_argument("--count", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=_cmd_sample)
 
@@ -264,12 +277,13 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--alpha", type=float, default=None, help="branch angle in radians")
     p.add_argument("--alpha-from-cover", action="store_true")
-    p.add_argument("--steps", type=int, default=16)
+    p.add_argument("--steps", type=_positive_int, default=16)
     p.set_defaults(func=_cmd_contract)
 
     p = sub.add_parser("cover", help="classify records or audit the default cover")
     add_common(p, input_default=None)
-    p.add_argument("--trials", type=int, default=None, help="run an audit with this many samples")
+    p.add_argument("--trials", type=_positive_int, default=None,
+                   help="run an audit with this many samples")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_cover)
 

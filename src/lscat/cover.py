@@ -19,10 +19,10 @@ from .errors import DimensionMismatch, NotInSpace, OddMultiplicity
 from .linalg_core import (
     DEFAULT_TOLERANCES,
     Tolerances,
+    _near_unitary,
     angular_distance,
     cluster_angles,
     eig_normal,
-    frobenius,
 )
 from .spaces import Family, SpaceKind, SpacePoint, is_member, sample_points
 
@@ -80,13 +80,9 @@ def classify(
         raise DimensionMismatch(
             f"point kind {point.kind} does not match cover kind {config.kind}"
         )
-    X = point.matrix
-    m = config.kind.ambient_size
-    if frobenius(X @ X.conj().T - np.eye(m)) > 100.0 * tol.membership_tol * max(
-        frobenius(X), 1.0
-    ):
+    if not _near_unitary(point.matrix, tol):
         raise NotInSpace("classification needs a unitary matrix")
-    angles = np.angle(eig_normal(X, tol).eigenvalues)
+    angles = np.angle(eig_normal(point.matrix, tol).eigenvalues)
     margins = tuple(
         float(np.min(angular_distance(angles, np.angle(lam))))
         for lam in config.lambdas
@@ -149,7 +145,7 @@ def cover_audit(
     occupancy = [0] * kind.n
     covered = 0
     min_witness_margin = np.inf
-    for point in sample_points(kind, trials, seed, tol):
+    for point in sample_points(kind, trials, seed):
         cls = classify(config, point, tol)
         if any(cls.memberships):
             covered += 1

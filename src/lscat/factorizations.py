@@ -11,18 +11,19 @@ resulting unit eigenvalues with square roots whose product is fixed to 1,
 and returns P = B C.
 
 The skew algorithm pairs each eigenvector v (eigenvalue lam) with conj(v)
-(eigenvalue -lam), builds the real orthonormal vectors
+(eigenvalue -lam), keeping the one whose angle lies in the half circle
+that starts in the middle of the widest gap of the angles folded mod pi.
+From each kept v it builds the real orthonormal vectors
 w = (v + conj(v))/sqrt(2) and w' = -i(v - conj(v))/sqrt(2), assembles them
 into a rotation B, and scales by C = diag(c, c) with c_k^2 = i lam_k so
 that tB X B = C J tC.
 
-A genuine obstruction lives in the skew case: det(B C) = +-1 is a
-congruence invariant of X, and the skew special unitary matrices split
-into two orbits accordingly.  Only the orbit of J itself (the one
-containing every sampled AII pullback) admits P in SU(2n); for the other
-orbit the advertised determinant repair provably breaks the reconstruction
-identity, so factor_skew raises ComponentObstruction instead of returning
-a wrong factor.
+A genuine obstruction lives in the skew case: det(B C) = (prod c_k)^2 is
++-1 and a congruence invariant of X, and the skew special unitary matrices
+split into two orbits accordingly.  Only the orbit of J itself (the one
+containing every sampled AII pullback) admits P in SU(2n), so factor_skew
+decides by the sign of det(B C) and raises ComponentObstruction on -1
+before building any factor.
 """
 
 from __future__ import annotations
@@ -43,9 +44,7 @@ from .linalg_core import (
     DEFAULT_TOLERANCES,
     TWO_PI,
     Tolerances,
-    angular_distance,
     as_matrix,
-    cluster_angles,
     eig_normal,
     frobenius,
     simdiag_real_symmetric,
@@ -113,55 +112,23 @@ def factor_symmetric(X, tol: Tolerances = DEFAULT_TOLERANCES) -> FactorizationRe
     )
 
 
-def block_swap_repair(C: np.ndarray) -> np.ndarray:
-    """Multiply C by the coordinate swap of positions 0 and n.
-
-    Flips the sign of det(C); applying it twice returns the original C.
-    """
-    C = as_matrix(C)
-    m = C.shape[0]
-    if m % 2:
-        raise DimensionMismatch("repair needs an even side")
-    n = m // 2
-    K = np.eye(m)
-    K[0, 0] = K[n, n] = 0.0
-    K[0, n] = K[n, 0] = 1.0
-    return C @ K
-
-
-def _conjugation_pairs(X, dec, tol: Tolerances):
+def _conjugation_pairs(X, dec):
     """Pick one eigenvector per conjugation pair (v, conj v).
 
-    Clusters the eigenvalue angles, keeps the clusters whose representative
-    angle lies in [0, pi) (exactly one of each opposite pair does), and
-    checks that the opposite cluster exists with equal size.  Returns the
-    chosen eigenvalues and eigenvectors.
+    The eigenvalues come in pairs lam, -lam whose angles agree mod pi, so
+    up to roundoff the angles folded mod pi are at most n points on a
+    circle of length pi, and their widest gap is at least pi/n.  Cutting
+    in the middle of that gap and keeping the half circle [cut, cut + pi)
+    picks exactly one eigenvalue of each pair, and every eigenvalue lies
+    at least pi/(2n) from the cut, so roundoff never moves one across it.
+    Returns the chosen eigenvalues and eigenvectors.
     """
     angles = np.angle(dec.eigenvalues)
-    clusters = cluster_angles(angles, tol.cluster_tol)
-    reps = np.array(
-        [float(np.angle(np.mean(np.exp(1j * angles[c])))) for c in clusters]
-    )
-    chosen = [i for i, rep in enumerate(reps) if 0.0 <= rep < np.pi]
-    matched = set()
-    for i in chosen:
-        partner = None
-        for j in range(len(clusters)):
-            if j in chosen or j in matched:
-                continue
-            if angular_distance(reps[j], reps[i] - np.pi) <= 10.0 * tol.cluster_tol:
-                partner = j
-                break
-        if partner is None or len(clusters[partner]) != len(clusters[i]):
-            raise OddPairingFailure(
-                "eigenvalues do not pair under negation; spectrum is not skew-like"
-            )
-        matched.add(partner)
-    if len(matched) + len(chosen) != len(clusters):
-        raise OddPairingFailure("some eigenvalue clusters were left unpaired")
-
-    idx = np.concatenate([clusters[i] for i in chosen])
-    vs = dec.P[:, idx]
+    folded = np.sort(np.mod(angles, np.pi))
+    gaps = np.diff(folded, append=folded[0] + np.pi)
+    widest = int(np.argmax(gaps))
+    cut = folded[widest] + gaps[widest] / 2.0
+    vs = dec.P[:, np.mod(angles - cut, TWO_PI) < np.pi]
     lams = np.einsum("ij,ij->j", vs.conj(), X @ vs)
     return lams, vs
 
@@ -187,7 +154,7 @@ def factor_skew(X, tol: Tolerances = DEFAULT_TOLERANCES) -> FactorizationResult:
         )
 
     dec = eig_normal(X, tol)
-    lams, vs = _conjugation_pairs(X, dec, tol)
+    lams, vs = _conjugation_pairs(X, dec)
     if lams.shape[0] != n:
         raise OddPairingFailure(f"expected {n} pairs, found {lams.shape[0]}")
 
@@ -206,22 +173,17 @@ def factor_skew(X, tol: Tolerances = DEFAULT_TOLERANCES) -> FactorizationResult:
         B[:, n] = -B[:, n]
 
     roots = _half_angle_roots(1j * lams)
-    C = np.diag(np.concatenate([roots, roots]))
-    det_c = np.prod(roots) ** 2
-    repaired = False
-    if det_c.real < 0.0:
-        C = block_swap_repair(C)
-        repaired = True
+    if (np.prod(roots) ** 2).real < 0.0:
+        raise ComponentObstruction(
+            "det(B C) = -1: the input lies in the skew congruence orbit "
+            "that admits no factor P in SU(2n)"
+        )
 
+    C = np.diag(np.concatenate([roots, roots]))
     J = structural_J(n)
     P = B @ C
     residual = frobenius(X - P @ J @ P.T)
     if residual > 10.0 * tol.membership_tol * max(frobenius(X), 1.0):
-        if repaired:
-            raise ComponentObstruction(
-                "det(B C) = -1: the input lies in the skew congruence orbit "
-                "that admits no factor P in SU(2n)"
-            )
         raise NoConvergence(f"skew factorization residual {residual:.3e}")
     return FactorizationResult(
         P=P,
@@ -233,20 +195,11 @@ def factor_skew(X, tol: Tolerances = DEFAULT_TOLERANCES) -> FactorizationResult:
 def factor_aii(point: SpacePoint, tol: Tolerances = DEFAULT_TOLERANCES) -> FactorizationResult:
     """Factor an AII member X as J P J tP by pulling back to the skew model.
 
-    Y = tJ X is skew-symmetric special unitary whenever X is a member; the
-    skew factor P then reconstructs X as J (P J tP).
+    Y = tJ X is skew-symmetric special unitary exactly when X is a member,
+    and since J is orthogonal the three skew residuals of Y equal the AII
+    residuals of X and ||Y - P J tP|| = ||X - J P J tP||.  So factor_skew(Y)
+    both checks the input and returns the factor with its residual.
     """
     if point.kind.family is not Family.AII:
         raise DimensionMismatch("factor_aii expects an AII point")
-    report = is_member(point.kind, point.matrix, tol)
-    if not report.member:
-        raise NotInSpace(
-            f"input fails the AII membership laws (max residual {report.max_residual:.3e})"
-        )
-    J = structural_J(point.kind.n)
-    Y = J.T @ point.matrix
-    inner = factor_skew(Y, tol)
-    residual = frobenius(point.matrix - J @ inner.P @ J @ inner.P.T)
-    return FactorizationResult(
-        P=inner.P, residual=residual, intermediates=inner.intermediates
-    )
+    return factor_skew(structural_J(point.kind.n).T @ point.matrix, tol)

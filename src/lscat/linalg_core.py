@@ -108,14 +108,15 @@ def _offdiag_norm(a) -> float:
     return frobenius(a - np.diag(np.diagonal(a)))
 
 
+def _near_unitary(X, tol: Tolerances) -> bool:
+    """Whether ||X X* - E|| is within 100 membership_tol, relative to ||X||."""
+    residual = frobenius(X @ X.conj().T - np.eye(X.shape[0]))
+    return residual <= 100.0 * tol.membership_tol * max(frobenius(X), 1.0)
+
+
 def angular_distance(a, b):
     """Distance between angles on the circle, folded into [0, pi]."""
     return np.abs(np.mod(np.asarray(a) - b + np.pi, TWO_PI) - np.pi)
-
-
-def spectral_margin(eigenvalues, alpha: float) -> float:
-    """Smallest angular distance from any eigenvalue's argument to alpha."""
-    return float(np.min(angular_distance(np.angle(eigenvalues), alpha)))
 
 
 def cluster_angles(angles, tol: float) -> list[np.ndarray]:

@@ -143,12 +143,7 @@ def haar_special_unitary(m: int, rng: np.random.Generator) -> np.ndarray:
     return q
 
 
-def sample_points(
-    kind: SpaceKind,
-    count: int,
-    seed: int,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> list[SpacePoint]:
+def sample_points(kind: SpaceKind, count: int, seed: int) -> list[SpacePoint]:
     """Draw count points of the space, deterministically from the seed.
 
     AI: X = P tP and AII: X = J (P J tP) for Haar P; both formulas push the
@@ -169,9 +164,9 @@ def sample_points(
     return out
 
 
-def sample(kind: SpaceKind, seed: int, tol: Tolerances = DEFAULT_TOLERANCES) -> SpacePoint:
+def sample(kind: SpaceKind, seed: int) -> SpacePoint:
     """Draw a single point; equals sample_points(kind, 1, seed)[0]."""
-    return sample_points(kind, 1, seed, tol)[0]
+    return sample_points(kind, 1, seed)[0]
 
 
 def symplectic_embed(A, B, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:

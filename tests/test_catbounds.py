@@ -92,6 +92,8 @@ def test_describe_ai_row():
     assert d.dimension == 9
     assert d.cat_lower == d.cat_upper == d.cat_exact == 3
     assert d.kahler is KahlerFlag.NO
+    d = describe(ClassicalFamily.AI, 200)
+    assert d.cat_lower == d.cat_upper == d.cat_exact == 199
     with pytest.raises(InvalidParams):
         describe(ClassicalFamily.AI, 2)
 
@@ -100,6 +102,8 @@ def test_describe_aii_row():
     d = describe(ClassicalFamily.AII, 3)
     assert d.dimension == 14
     assert d.cat_exact == 2
+    d = describe(ClassicalFamily.AII, 30)
+    assert d.cat_lower == d.cat_upper == d.cat_exact == 29
     with pytest.raises(InvalidParams):
         describe(ClassicalFamily.AII, 1)
 

@@ -173,6 +173,16 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
     code, _, _ = invoke(capsys, ["cover", "--space", "ai", "--n", "2"])  # no mode
     assert code == 2
+    # counts below 1 are rejected by the parser, before any input is read
+    for argv in (
+        ["sample", "--space", "ai", "--n", "3", "--seed", "1", "--count", "-2"],
+        ["sample", "--space", "ai", "--n", "3", "--seed", "1", "--count", "0"],
+        ["contract", "--input", "missing.ndjson", "--alpha", "1", "--steps", "0"],
+        ["cover", "--space", "ai", "--n", "3", "--seed", "1", "--trials", "0"],
+        ["sample", "--space", "ai", "--n", "3", "--seed", "1", "--tol", "1e-3"],
+    ):
+        code, out, _ = invoke(capsys, argv)
+        assert code == 2 and out == ""
 
 
 def test_domain_errors_exit_1(capsys, tmp_path):

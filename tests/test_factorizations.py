@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from lscat.errors import ComponentObstruction, DimensionMismatch, NotInSpace
-from lscat.factorizations import (
-    block_swap_repair,
-    factor_aii,
-    factor_skew,
-    factor_symmetric,
-)
+from lscat.factorizations import factor_aii, factor_skew, factor_symmetric
 from lscat.spaces import (
     SpaceKind,
     SpacePoint,
@@ -89,10 +84,16 @@ def test_factor_skew_structural_cases():
 
 def test_factor_skew_component_obstruction_odd_n():
     # -J is skew special unitary for every n but factors over SU only for
-    # even n; det(B C) = -1 detects the second congruence orbit.
-    for n in (1, 3):
+    # even n; det(B C) = -1 detects the second congruence orbit, which
+    # also holds the non-diagonal congruences Q(-J)tQ with Q in SU(2n).
+    rng = np.random.default_rng(53)
+    for n in (1, 3, 5):
         with pytest.raises(ComponentObstruction):
             factor_skew(-structural_J(n))
+        for _ in range(5):
+            Q = haar_special_unitary(2 * n, rng)
+            with pytest.raises(ComponentObstruction):
+                factor_skew(Q @ -structural_J(n) @ Q.T)
 
 
 def test_factor_skew_roundtrips():
@@ -137,22 +138,6 @@ def test_factor_skew_rejects_bad_inputs():
         factor_skew(np.eye(4))
 
 
-def test_block_swap_repair_properties():
-    # det C = (i * 1 * 1)^2 = -1: the fix restores det 1 and is an involution
-    c = np.array([1j, 1.0, 1.0])
-    C = np.diag(np.concatenate([c, c]))
-    assert np.linalg.det(C) == pytest.approx(-1.0, abs=1e-12)
-    fixed = block_swap_repair(C)
-    assert abs(np.linalg.det(fixed) - 1.0) <= 1e-10
-    assert np.allclose(block_swap_repair(fixed), C)
-    rng = np.random.default_rng(3)
-    c = np.exp(1j * rng.uniform(0, 2 * np.pi, 3))
-    C = np.diag(np.concatenate([c, c]))
-    fixed = block_swap_repair(C)
-    assert np.linalg.det(fixed) == pytest.approx(-np.linalg.det(C), abs=1e-10)
-    assert np.allclose(block_swap_repair(fixed), C)
-
-
 def test_factor_aii_scalar_cases():
     # -E pulls back to J (factorable for every n); E pulls back to -J
     # (factorable only for even n).
@@ -175,6 +160,37 @@ def test_factor_aii_sampled_roundtrips():
             assert res.residual <= 1e-9
             J = J_by_n[n]
             assert np.linalg.norm(pt.matrix - J @ res.P @ J @ res.P.T) <= 1e-9
+            assert_special_unitary(res.P)
+
+
+def haar_special_orthogonal(m, rng):
+    q, r = np.linalg.qr(rng.standard_normal((m, m)))
+    q = q * np.sign(np.diagonal(r))
+    if np.linalg.det(q) < 0.0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+def test_factor_aii_plus_minus_one_pullback():
+    # X = J B C J tC tB with c_k^2 = -i lam_k, lam_k in {1, -1}, prod c = 1:
+    # the skew pullback tJ X = (B C) J t(B C) has only the eigenvalues +-1,
+    # each n times, which sit on the real axis where the pairing must not
+    # depend on roundoff.  (-i)^n prod lam = 1 needs even n.
+    for n in (2, 4, 8, 16):
+        J = structural_J(n)
+        for seed in range(8):
+            rng = np.random.default_rng(1000 * n + seed)
+            lam = rng.choice([1.0, -1.0], size=n)
+            lam[-1] = (1j**n).real / np.prod(lam[:-1])
+            c = np.sqrt(-1j * lam)
+            if np.prod(c).real < 0.0:
+                c[-1] = -c[-1]
+            BC = haar_special_orthogonal(2 * n, rng) * np.concatenate([c, c])
+            X = J @ BC @ J @ BC.T
+            assert np.allclose(np.linalg.eigvals(J.T @ X) ** 2, 1.0, atol=1e-12)
+            res = factor_aii(SpacePoint(SpaceKind.aii(n), X))
+            assert res.residual <= 1e-9
+            assert np.linalg.norm(X - J @ res.P @ J @ res.P.T) <= 1e-9
             assert_special_unitary(res.P)
 
 
