@@ -50,9 +50,7 @@ from .homotopy import (
     winding_of_component,
 )
 from .linalg_core import (
-    DEFAULT_TOLERANCES,
     EigenDecomposition,
-    Tolerances,
     eig_normal,
     exp_skew_hermitian,
     matrix_from_json,
@@ -109,9 +107,7 @@ __all__ = [
     "branch_log",
     "contract",
     "winding_of_component",
-    "DEFAULT_TOLERANCES",
     "EigenDecomposition",
-    "Tolerances",
     "eig_normal",
     "exp_skew_hermitian",
     "matrix_from_json",

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -18,12 +19,7 @@ from .cover import classify, cover_audit, default_cover
 from .errors import LscatError
 from .factorizations import factor_aii, factor_symmetric
 from .homotopy import branch_log, contract
-from .linalg_core import (
-    DEFAULT_TOLERANCES,
-    Tolerances,
-    matrix_from_json,
-    matrix_to_json,
-)
+from .linalg_core import matrix_from_json, matrix_to_json
 from .spaces import (
     Family,
     SpaceKind,
@@ -43,19 +39,8 @@ def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _tolerances(args) -> Tolerances:
-    if args.tol is None:
-        return DEFAULT_TOLERANCES
-    base = DEFAULT_TOLERANCES
-    return Tolerances(
-        membership_tol=args.tol,
-        cluster_tol=max(base.cluster_tol, 10.0 * args.tol),
-        branch_margin=base.branch_margin,
-    )
-
-
 def _positive_int(text: str) -> int:
-    """argparse type of --count, --steps and --trials: an integer >= 1."""
+    """argparse type of --n, --count, --steps and --trials: an integer >= 1."""
     try:
         value = int(text)
     except ValueError:
@@ -65,31 +50,43 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _int_tuple(text: str) -> tuple[int, ...]:
+    """argparse type of --params: comma-separated integers."""
+    try:
+        return tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected integers, got {text!r}") from None
+
+
 def _kind_from_flags(parser, args) -> SpaceKind:
     if args.space is None or args.n is None:
         parser.error("--space and --n are required here")
     return SpaceKind(Family(args.space.upper()), args.n)
 
 
-def _read_records(path: str) -> list[dict]:
+def _read_records(path: str) -> Iterator:
+    """Yield the JSON document of each non-blank line as it is read."""
     stream = sys.stdin if path == "-" else open(path, "r", encoding="utf-8")
     try:
-        return [json.loads(line) for line in stream if line.strip()]
+        for line in stream:
+            if line.strip():
+                yield json.loads(line)
     finally:
         if stream is not sys.stdin:
             stream.close()
 
 
-def _points_from_input(parser, args) -> list[SpacePoint]:
-    points = []
+def _points_from_input(parser, args) -> Iterator[SpacePoint]:
+    """Yield one point per input record, parsing each only when it is needed."""
     for rec in _read_records(args.input):
+        if not isinstance(rec, dict):
+            raise ValueError(f"record must be a JSON object, got {rec!r:.40}")
         if "matrix" in rec:
-            points.append(point_from_json(rec))
+            yield point_from_json(rec)
         elif "entries" in rec:
-            points.append(SpacePoint(_kind_from_flags(parser, args), matrix_from_json(rec)))
+            yield SpacePoint(_kind_from_flags(parser, args), matrix_from_json(rec))
         else:
             raise ValueError("record is neither a point nor a bare matrix")
-    return points
 
 
 def _membership_json(point: SpacePoint, report) -> dict:
@@ -103,12 +100,12 @@ def _membership_json(point: SpacePoint, report) -> dict:
     }
 
 
-def _resolve_alpha(parser, args, point: SpacePoint, tol: Tolerances) -> float:
+def _resolve_alpha(parser, args, point: SpacePoint) -> float:
     if args.alpha is not None:
         return args.alpha
     if args.alpha_from_cover:
         config = default_cover(point.kind)
-        cls = classify(config, point, tol)
+        cls = classify(config, point)
         return float(np.angle(config.lambdas[cls.witness])) % (2.0 * np.pi)
     parser.error("provide --alpha or --alpha-from-cover")
 
@@ -123,10 +120,9 @@ def _cmd_sample(parser, args) -> int:
 
 
 def _cmd_check(parser, args) -> int:
-    tol = _tolerances(args)
     worst = 0.0
     for point in _points_from_input(parser, args):
-        report = is_member(point.kind, point.matrix, tol)
+        report = is_member(point.kind, point.matrix)
         worst = max(worst, report.max_residual)
         _emit(_membership_json(point, report))
     _note(f"checked membership; worst residual {worst:.3e}")
@@ -134,22 +130,20 @@ def _cmd_check(parser, args) -> int:
 
 
 def _cmd_factor(parser, args) -> int:
-    tol = _tolerances(args)
     for point in _points_from_input(parser, args):
         if point.kind.family is Family.AI:
-            result = factor_symmetric(point.matrix, tol)
+            result = factor_symmetric(point.matrix)
         else:
-            result = factor_aii(point, tol)
+            result = factor_aii(point)
         _emit({"P": matrix_to_json(result.P), "residual": result.residual})
         _note(f"factored with residual {result.residual:.3e}")
     return 0
 
 
 def _cmd_log(parser, args) -> int:
-    tol = _tolerances(args)
     for point in _points_from_input(parser, args):
-        alpha = _resolve_alpha(parser, args, point, tol)
-        bl = branch_log(point.matrix, alpha, tol)
+        alpha = _resolve_alpha(parser, args, point)
+        bl = branch_log(point.matrix, alpha)
         _emit(
             {
                 "H": matrix_to_json(bl.H),
@@ -163,10 +157,9 @@ def _cmd_log(parser, args) -> int:
 
 
 def _cmd_contract(parser, args) -> int:
-    tol = _tolerances(args)
     for point in _points_from_input(parser, args):
-        alpha = _resolve_alpha(parser, args, point, tol)
-        path = contract(point, alpha, steps=args.steps, tol=tol)
+        alpha = _resolve_alpha(parser, args, point)
+        path = contract(point, alpha, steps=args.steps)
         _emit(
             [
                 {
@@ -191,12 +184,11 @@ def _cmd_contract(parser, args) -> int:
 
 
 def _cmd_cover(parser, args) -> int:
-    tol = _tolerances(args)
     if args.trials is not None:
         if args.seed is None:
             parser.error("--seed is required for a cover audit")
         kind = _kind_from_flags(parser, args)
-        report = cover_audit(kind, args.trials, args.seed, tol)
+        report = cover_audit(kind, args.trials, args.seed)
         _emit(
             {
                 "trials": report.trials,
@@ -210,7 +202,7 @@ def _cmd_cover(parser, args) -> int:
     if args.input is None:
         parser.error("cover needs --input (classify) or --trials (audit)")
     for point in _points_from_input(parser, args):
-        cls = classify(default_cover(point.kind), point, tol)
+        cls = classify(default_cover(point.kind), point)
         _emit(
             {
                 "memberships": list(cls.memberships),
@@ -228,8 +220,7 @@ def _cmd_table(parser, args) -> int:
 
 
 def _cmd_describe(parser, args) -> int:
-    params = tuple(int(p) for p in args.params.split(","))
-    descriptor = describe(ClassicalFamily(args.family.upper()), params)
+    descriptor = describe(ClassicalFamily(args.family.upper()), args.params)
     _emit(descriptor_to_json(descriptor))
     return 0
 
@@ -245,11 +236,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_space(p):
         p.add_argument("--space", choices=["ai", "aii"], help="family of bare-matrix input")
-        p.add_argument("--n", type=int, help="family parameter n")
+        p.add_argument("--n", type=_positive_int, help="family parameter n")
 
     def add_common(p, input_default="-"):
         add_space(p)
-        p.add_argument("--tol", type=float, default=None, help="membership tolerance override")
         p.add_argument("--input", default=input_default,
                        help="path to NDJSON records, '-' for stdin")
 
@@ -294,7 +284,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("describe", help="one concrete table row as JSON")
     p.add_argument("--family", required=True,
                    choices=["ai", "aii", "aiii", "bdi", "bdii", "diii", "ci", "cii"])
-    p.add_argument("--params", required=True, help="comma-separated integers, e.g. '2,1'")
+    p.add_argument("--params", type=_int_tuple, required=True,
+                   help="comma-separated integers, e.g. '2,1'")
     p.set_defaults(func=_cmd_describe)
 
     return parser

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotInSpace, OddMultiplicity
 from .linalg_core import (
-    DEFAULT_TOLERANCES,
-    Tolerances,
+    BRANCH_MARGIN,
+    CLUSTER_TOL,
     _near_unitary,
     angular_distance,
     cluster_angles,
@@ -66,12 +66,10 @@ def default_cover(kind: SpaceKind) -> CoverConfig:
     return CoverConfig(kind=kind, lambdas=lambdas, certificate=certificate)
 
 
-def classify(
-    config: CoverConfig, point: SpacePoint, tol: Tolerances = DEFAULT_TOLERANCES
-) -> CoverClassification:
+def classify(config: CoverConfig, point: SpacePoint) -> CoverClassification:
     """Angular margins of the spectrum against each avoided eigenvalue.
 
-    memberships[r] holds when the margin is at least branch_margin; the
+    memberships[r] holds when the margin is at least BRANCH_MARGIN; the
     witness maximizes the margin, ties going to the lowest index.  Works
     for any unitary of the right side (membership in the space itself is
     not required), so impossibility certificates can be classified too.
@@ -80,21 +78,19 @@ def classify(
         raise DimensionMismatch(
             f"point kind {point.kind} does not match cover kind {config.kind}"
         )
-    if not _near_unitary(point.matrix, tol):
+    if not _near_unitary(point.matrix):
         raise NotInSpace("classification needs a unitary matrix")
-    angles = np.angle(eig_normal(point.matrix, tol).eigenvalues)
+    angles = np.angle(eig_normal(point.matrix).eigenvalues)
     margins = tuple(
         float(np.min(angular_distance(angles, np.angle(lam))))
         for lam in config.lambdas
     )
-    memberships = tuple(margin >= tol.branch_margin for margin in margins)
+    memberships = tuple(margin >= BRANCH_MARGIN for margin in margins)
     witness = int(np.argmax(margins))
     return CoverClassification(memberships=memberships, margins=margins, witness=witness)
 
 
-def multiplicity_audit(
-    point: SpacePoint, tol: Tolerances = DEFAULT_TOLERANCES
-) -> list[tuple[complex, int]]:
+def multiplicity_audit(point: SpacePoint) -> list[tuple[complex, int]]:
     """Clustered spectrum of a twisted-family member with multiplicities.
 
     Every eigenvalue of an AII member has even multiplicity (conjugating an
@@ -103,19 +99,19 @@ def multiplicity_audit(
     """
     if point.kind.family is not Family.AII:
         raise DimensionMismatch("multiplicity audit applies to AII points")
-    report = is_member(point.kind, point.matrix, tol)
+    report = is_member(point.kind, point.matrix)
     if not report.member:
         raise NotInSpace(
             f"input fails the membership laws (max residual {report.max_residual:.3e})"
         )
-    eig = eig_normal(point.matrix, tol).eigenvalues
+    eig = eig_normal(point.matrix).eigenvalues
     angles = np.angle(eig)
     out = []
-    for cluster in cluster_angles(angles, tol.cluster_tol):
+    for cluster in cluster_angles(angles, CLUSTER_TOL):
         spread = float(np.max(angular_distance(angles[cluster][:, None], angles[cluster])))
-        if spread > 10.0 * tol.cluster_tol:
+        if spread > 10.0 * CLUSTER_TOL:
             raise OddMultiplicity(
-                f"cluster spread {spread:.3e} exceeds 10x cluster_tol"
+                f"cluster spread {spread:.3e} exceeds 10x CLUSTER_TOL"
             )
         if len(cluster) % 2:
             raise OddMultiplicity(
@@ -127,12 +123,7 @@ def multiplicity_audit(
     return out
 
 
-def cover_audit(
-    kind: SpaceKind,
-    trials: int,
-    seed: int,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> CoverAuditReport:
+def cover_audit(kind: SpaceKind, trials: int, seed: int) -> CoverAuditReport:
     """Sample members and classify each against the default cover.
 
     Reports the covered fraction (provably 1.0; anything less is a bug),
@@ -146,7 +137,7 @@ def cover_audit(
     covered = 0
     min_witness_margin = np.inf
     for point in sample_points(kind, trials, seed):
-        cls = classify(config, point, tol)
+        cls = classify(config, point)
         if any(cls.memberships):
             covered += 1
         for r, hit in enumerate(cls.memberships):

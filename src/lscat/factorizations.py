@@ -41,9 +41,8 @@ from .errors import (
     RootProductFailure,
 )
 from .linalg_core import (
-    DEFAULT_TOLERANCES,
+    MEMBERSHIP_TOL,
     TWO_PI,
-    Tolerances,
     as_matrix,
     eig_normal,
     frobenius,
@@ -75,21 +74,21 @@ def _half_angle_roots(values: np.ndarray) -> np.ndarray:
     return np.exp(0.5j * np.mod(np.angle(values), TWO_PI))
 
 
-def factor_symmetric(X, tol: Tolerances = DEFAULT_TOLERANCES) -> FactorizationResult:
+def factor_symmetric(X) -> FactorizationResult:
     """Factor a symmetric special unitary X as P tP with P in SU(n)."""
     X = as_matrix(X)
     n = X.shape[0]
-    report = is_member(SpaceKind.ai(n), X, tol)
+    report = is_member(SpaceKind.ai(n), X)
     if not report.member:
         raise NotInSpace(
             "input is not a symmetric special unitary matrix "
             f"(max residual {report.max_residual:.3e})"
         )
 
-    B, a, b = simdiag_real_symmetric(X + X.conj(), 1j * (X - X.conj()), tol)
+    B, a, b = simdiag_real_symmetric(X + X.conj(), 1j * (X - X.conj()))
     mu = (a - 1j * b) / 2.0
     det_x = np.linalg.det(X)
-    if abs(np.prod(mu) - det_x) > 100.0 * tol.membership_tol:
+    if abs(np.prod(mu) - det_x) > 100.0 * MEMBERSHIP_TOL:
         raise RootProductFailure("diagonalized eigenvalues do not multiply to det X")
 
     roots = _half_angle_roots(mu)
@@ -98,12 +97,12 @@ def factor_symmetric(X, tol: Tolerances = DEFAULT_TOLERANCES) -> FactorizationRe
     if abs(prod + 1.0) < abs(prod - 1.0):
         roots[-1] = -roots[-1]
         prod = -prod
-    if abs(prod - 1.0) > 100.0 * tol.membership_tol:
+    if abs(prod - 1.0) > 100.0 * MEMBERSHIP_TOL:
         raise RootProductFailure("root product could not be normalized to 1")
 
     P = B * roots
     residual = frobenius(X - P @ P.T)
-    if residual > 10.0 * tol.membership_tol * max(frobenius(X), 1.0):
+    if residual > 10.0 * MEMBERSHIP_TOL * max(frobenius(X), 1.0):
         raise NoConvergence(f"symmetric factorization residual {residual:.3e}")
     return FactorizationResult(
         P=P,
@@ -133,7 +132,7 @@ def _conjugation_pairs(X, dec):
     return lams, vs
 
 
-def factor_skew(X, tol: Tolerances = DEFAULT_TOLERANCES) -> FactorizationResult:
+def factor_skew(X) -> FactorizationResult:
     """Factor a skew-symmetric special unitary X as P J tP with P in SU(2n).
 
     Raises ComponentObstruction when X lies in the congruence orbit not
@@ -147,13 +146,13 @@ def factor_skew(X, tol: Tolerances = DEFAULT_TOLERANCES) -> FactorizationResult:
     unitarity = frobenius(X @ X.conj().T - np.eye(m))
     determinant = float(abs(np.linalg.det(X) - 1.0))
     skewness = frobenius(X.T + X)
-    if max(unitarity, determinant, skewness) > tol.membership_tol:
+    if max(unitarity, determinant, skewness) > MEMBERSHIP_TOL:
         raise NotInSpace(
             "input is not a skew-symmetric special unitary matrix "
             f"(residuals {unitarity:.3e}/{determinant:.3e}/{skewness:.3e})"
         )
 
-    dec = eig_normal(X, tol)
+    dec = eig_normal(X)
     lams, vs = _conjugation_pairs(X, dec)
     if lams.shape[0] != n:
         raise OddPairingFailure(f"expected {n} pairs, found {lams.shape[0]}")
@@ -164,7 +163,7 @@ def factor_skew(X, tol: Tolerances = DEFAULT_TOLERANCES) -> FactorizationResult:
     B = np.empty((m, m))
     B[:, :n] = w
     B[:, n:] = wp
-    if frobenius(B.T @ B - np.eye(m)) > 100.0 * tol.membership_tol:
+    if frobenius(B.T @ B - np.eye(m)) > 100.0 * MEMBERSHIP_TOL:
         raise OddPairingFailure("paired basis lost orthonormality")
 
     if np.linalg.det(B) < 0.0:
@@ -183,7 +182,7 @@ def factor_skew(X, tol: Tolerances = DEFAULT_TOLERANCES) -> FactorizationResult:
     J = structural_J(n)
     P = B @ C
     residual = frobenius(X - P @ J @ P.T)
-    if residual > 10.0 * tol.membership_tol * max(frobenius(X), 1.0):
+    if residual > 10.0 * MEMBERSHIP_TOL * max(frobenius(X), 1.0):
         raise NoConvergence(f"skew factorization residual {residual:.3e}")
     return FactorizationResult(
         P=P,
@@ -192,7 +191,7 @@ def factor_skew(X, tol: Tolerances = DEFAULT_TOLERANCES) -> FactorizationResult:
     )
 
 
-def factor_aii(point: SpacePoint, tol: Tolerances = DEFAULT_TOLERANCES) -> FactorizationResult:
+def factor_aii(point: SpacePoint) -> FactorizationResult:
     """Factor an AII member X as J P J tP by pulling back to the skew model.
 
     Y = tJ X is skew-symmetric special unitary exactly when X is a member,
@@ -202,4 +201,4 @@ def factor_aii(point: SpacePoint, tol: Tolerances = DEFAULT_TOLERANCES) -> Facto
     """
     if point.kind.family is not Family.AII:
         raise DimensionMismatch("factor_aii expects an AII point")
-    return factor_skew(structural_J(point.kind.n).T @ point.matrix, tol)
+    return factor_skew(structural_J(point.kind.n).T @ point.matrix)

@@ -21,9 +21,9 @@ import numpy as np
 
 from .errors import BranchViolation, MembershipDrift, NotUnitary
 from .linalg_core import (
-    DEFAULT_TOLERANCES,
+    BRANCH_MARGIN,
+    MEMBERSHIP_TOL,
     TWO_PI,
-    Tolerances,
     _near_unitary,
     as_matrix,
     eig_normal,
@@ -72,21 +72,21 @@ class InconsistentWinding:
     values: tuple[int, ...]
 
 
-def branch_log(X, alpha: float, tol: Tolerances = DEFAULT_TOLERANCES) -> BranchLog:
+def branch_log(X, alpha: float) -> BranchLog:
     """Logarithm of a unitary X with eigenvalue angles in (alpha, alpha + 2 pi).
 
-    Raises BranchViolation when some eigenvalue is closer than branch_margin
+    Raises BranchViolation when some eigenvalue is closer than BRANCH_MARGIN
     to the branch point e^{i alpha}; that failure is exactly the signal that
     X lies outside the covering set avoiding e^{i alpha}.
     """
     X = as_matrix(X)
-    if not _near_unitary(X, tol):
+    if not _near_unitary(X):
         raise NotUnitary("branch logarithm is defined for unitary matrices only")
     alpha = float(np.mod(alpha, TWO_PI))
-    dec = eig_normal(X, tol)
+    dec = eig_normal(X)
     rel = np.mod(np.angle(dec.eigenvalues) - alpha, TWO_PI)
     margin = float(np.min(np.minimum(rel, TWO_PI - rel)))
-    if margin < tol.branch_margin:
+    if margin < BRANCH_MARGIN:
         raise BranchViolation(
             f"eigenvalue within {margin:.3e} of the branch point", margin=margin
         )
@@ -97,12 +97,7 @@ def branch_log(X, alpha: float, tol: Tolerances = DEFAULT_TOLERANCES) -> BranchL
     return BranchLog(H=H, alpha=alpha, winding=winding, margin=margin)
 
 
-def contract(
-    point: SpacePoint,
-    alpha: float,
-    steps: int = 16,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> HomotopyPath:
+def contract(point: SpacePoint, alpha: float, steps: int = 16) -> HomotopyPath:
     """Contract a member along the linear log path onto a scalar matrix.
 
     The target logarithm is (2 pi i k / m) E with m the ambient side; for
@@ -115,7 +110,7 @@ def contract(
         raise ValueError("steps must be a positive integer")
     kind = point.kind
     m = kind.ambient_size
-    bl = branch_log(point.matrix, alpha, tol)
+    bl = branch_log(point.matrix, alpha)
     log_target = TWO_PI * 1j * bl.winding / m
     target_scalar = complex(np.exp(log_target))
     E = np.eye(m)
@@ -123,9 +118,9 @@ def contract(
     for i in range(steps + 1):
         s = i / steps
         A = (1.0 - s) * bl.H + s * log_target * E
-        F = exp_skew_hermitian(A, tol)
-        report = is_member(kind, F, tol)
-        if report.max_residual > 100.0 * tol.membership_tol:
+        F = exp_skew_hermitian(A)
+        report = is_member(kind, F)
+        if report.max_residual > 100.0 * MEMBERSHIP_TOL:
             raise MembershipDrift(
                 f"path point at s={s:g} drifted out of the space "
                 f"(residual {report.max_residual:.3e})"
@@ -136,9 +131,7 @@ def contract(
     )
 
 
-def winding_of_component(
-    points, alpha: float, tol: Tolerances = DEFAULT_TOLERANCES
-) -> int | InconsistentWinding:
+def winding_of_component(points, alpha: float) -> int | InconsistentWinding:
     """Common winding index of the points at this branch, if they agree.
 
     Returns the shared integer, or InconsistentWinding listing the distinct
@@ -148,7 +141,7 @@ def winding_of_component(
     points = list(points)
     if not points:
         raise ValueError("winding_of_component needs at least one point")
-    values = sorted({branch_log(p.matrix, alpha, tol).winding for p in points})
+    values = sorted({branch_log(p.matrix, alpha).winding for p in points})
     if len(values) == 1:
         return values[0]
     return InconsistentWinding(tuple(values))

@@ -12,8 +12,9 @@ list of incommensurate constants, so results are deterministic and a
 degenerate combination for one weight is broken by the next.
 
 Matrices are plain numpy complex arrays; operations are pure and never
-modify their inputs.  Residual thresholds are relative to the Frobenius
-norm of the input, falling back to absolute for zero input.
+modify their inputs.  The gates are the fixed constants MEMBERSHIP_TOL,
+CLUSTER_TOL and BRANCH_MARGIN.  Residual thresholds are relative to the
+Frobenius norm of the input, falling back to absolute for zero input.
 """
 
 from __future__ import annotations
@@ -44,29 +45,12 @@ _MIX_WEIGHTS = (
 )
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical thresholds used by every operation in the package.
-
-    membership_tol bounds Frobenius-norm residuals of the membership laws,
-    cluster_tol is the angular radius for grouping eigenvalues on the unit
-    circle, and branch_margin is the minimum angular distance an eigenvalue
-    may have from a logarithm branch point.
-    """
-
-    membership_tol: float = 1e-9
-    cluster_tol: float = 1e-6
-    branch_margin: float = 1e-8
-
-    def __post_init__(self):
-        if min(self.membership_tol, self.cluster_tol, self.branch_margin) <= 0.0:
-            raise ValueError("tolerances must be strictly positive")
-        if self.cluster_tol <= self.membership_tol:
-            raise ValueError("cluster_tol must exceed membership_tol")
-
-
-#: Process-wide defaults; read-only after import.
-DEFAULT_TOLERANCES = Tolerances()
+#: Bound on the Frobenius-norm residual of each membership law.
+MEMBERSHIP_TOL = 1e-9
+#: Angular radius for grouping eigenvalues on the unit circle.
+CLUSTER_TOL = 1e-6
+#: Smallest angular distance an eigenvalue may have from a branch point.
+BRANCH_MARGIN = 1e-8
 
 
 @dataclass(frozen=True)
@@ -108,10 +92,10 @@ def _offdiag_norm(a) -> float:
     return frobenius(a - np.diag(np.diagonal(a)))
 
 
-def _near_unitary(X, tol: Tolerances) -> bool:
-    """Whether ||X X* - E|| is within 100 membership_tol, relative to ||X||."""
+def _near_unitary(X) -> bool:
+    """Whether ||X X* - E|| is within 100 MEMBERSHIP_TOL, relative to ||X||."""
     residual = frobenius(X @ X.conj().T - np.eye(X.shape[0]))
-    return residual <= 100.0 * tol.membership_tol * max(frobenius(X), 1.0)
+    return residual <= 100.0 * MEMBERSHIP_TOL * max(frobenius(X), 1.0)
 
 
 def angular_distance(a, b):
@@ -137,7 +121,7 @@ def cluster_angles(angles, tol: float) -> list[np.ndarray]:
     return pieces
 
 
-def eig_normal(X, tol: Tolerances = DEFAULT_TOLERANCES) -> EigenDecomposition:
+def eig_normal(X) -> EigenDecomposition:
     """Eigendecomposition of a normal matrix via its Hermitian parts.
 
     Splits X = H1 + i H2 with H1, H2 commuting Hermitian and solves the
@@ -147,13 +131,13 @@ def eig_normal(X, tol: Tolerances = DEFAULT_TOLERANCES) -> EigenDecomposition:
     check, retrying with the next weight on failure.
 
     Raises NotNormal when the commutator residual of X exceeds
-    100 * membership_tol (relative), and NoConvergence when every weight
+    100 * MEMBERSHIP_TOL (relative), and NoConvergence when every weight
     fails the residual check.
     """
     X = as_matrix(X)
     s = _scale(X)
     Xh = X.conj().T
-    if frobenius(X @ Xh - Xh @ X) > 100.0 * tol.membership_tol * s * s:
+    if frobenius(X @ Xh - Xh @ X) > 100.0 * MEMBERSHIP_TOL * s * s:
         raise NotNormal("matrix does not commute with its conjugate transpose")
 
     H1 = (X + Xh) / 2.0
@@ -165,33 +149,31 @@ def eig_normal(X, tol: Tolerances = DEFAULT_TOLERANCES) -> EigenDecomposition:
         order = np.lexsort((lam.imag, np.angle(lam)))
         V = V[:, order]
         lam = lam[order]
-        if frobenius(X @ V - V * lam) <= tol.membership_tol * s:
-            if frobenius(V @ V.conj().T - E) > tol.membership_tol:
+        if frobenius(X @ V - V * lam) <= MEMBERSHIP_TOL * s:
+            if frobenius(V @ V.conj().T - E) > MEMBERSHIP_TOL:
                 V, _ = np.linalg.qr(V)
             return EigenDecomposition(P=V, eigenvalues=lam)
     raise NoConvergence("no mixing weight separated the spectrum")
 
 
-def exp_skew_hermitian(H, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def exp_skew_hermitian(H) -> np.ndarray:
     """Unitary exponential of a skew-Hermitian matrix.
 
     Diagonalizes -iH (Hermitian) and exponentiates the eigenvalues, so the
     result is unitary by construction up to roundoff.
     """
     H = as_matrix(H)
-    if frobenius(H + H.conj().T) > 100.0 * tol.membership_tol * _scale(H):
+    if frobenius(H + H.conj().T) > 100.0 * MEMBERSHIP_TOL * _scale(H):
         raise NotSkewHermitian("matrix is not skew-Hermitian")
     w, V = np.linalg.eigh(-1j * H)
     return (V * np.exp(1j * w)) @ V.conj().T
 
 
-def simdiag_real_symmetric(
-    S1, S2, tol: Tolerances = DEFAULT_TOLERANCES
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def simdiag_real_symmetric(S1, S2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Jointly diagonalize two commuting real symmetric matrices.
 
     Returns (B, d1, d2) with B real orthogonal, det(B) = +1, and
-    tB S1 B = diag(d1), tB S2 B = diag(d2) within tolerance.  The joint
+    tB S1 B = diag(d1), tB S2 B = diag(d2) within MEMBERSHIP_TOL.  The joint
     basis comes from one symmetric eigensolve of a generically weighted
     combination of the normalized inputs, retried with fresh weights until
     both off-diagonal residuals pass.
@@ -202,11 +184,11 @@ def simdiag_real_symmetric(
         raise NotCommuting("matrices must share a common shape")
     s1, s2 = _scale(S1), _scale(S2)
     for S, s in ((S1, s1), (S2, s2)):
-        if frobenius(S.imag) > tol.membership_tol * s:
+        if frobenius(S.imag) > MEMBERSHIP_TOL * s:
             raise NotSymmetric("matrix has a non-negligible imaginary part")
-        if frobenius(S - S.T) > tol.membership_tol * s:
+        if frobenius(S - S.T) > MEMBERSHIP_TOL * s:
             raise NotSymmetric("matrix is not symmetric")
-    if frobenius(S1 @ S2 - S2 @ S1) > 100.0 * tol.membership_tol * s1 * s2:
+    if frobenius(S1 @ S2 - S2 @ S1) > 100.0 * MEMBERSHIP_TOL * s1 * s2:
         raise NotCommuting("matrices do not commute")
 
     A1 = S1.real
@@ -216,8 +198,8 @@ def simdiag_real_symmetric(
         D1 = B.T @ A1 @ B
         D2 = B.T @ A2 @ B
         if (
-            _offdiag_norm(D1) <= tol.membership_tol * s1
-            and _offdiag_norm(D2) <= tol.membership_tol * s2
+            _offdiag_norm(D1) <= MEMBERSHIP_TOL * s1
+            and _offdiag_norm(D2) <= MEMBERSHIP_TOL * s2
         ):
             if np.linalg.det(B) < 0.0:
                 B = B.copy()
@@ -233,11 +215,20 @@ def matrix_to_json(m) -> dict:
     return {"n": int(m.shape[0]), "entries": entries}
 
 
+def _json_side(doc) -> int:
+    """The field n of a JSON object record; ValueError unless an integer >= 1."""
+    if not isinstance(doc, dict):
+        raise ValueError("expected a JSON object")
+    n = doc["n"]
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    return n
+
+
 def matrix_from_json(doc: dict) -> np.ndarray:
-    """Parse the matrix JSON format back into a complex array."""
-    n = int(doc["n"])
-    entries = doc["entries"]
-    if n < 1 or len(entries) != n * n:
-        raise ValueError(f"expected {n * n} entries for side {n}, got {len(entries)}")
-    flat = np.array([complex(re, im) for re, im in entries])
-    return as_matrix(flat.reshape(n, n))
+    """Parse the matrix JSON format; ValueError unless it holds n*n [re, im] number pairs."""
+    n = _json_side(doc)
+    pairs = np.array(doc["entries"])
+    if pairs.shape != (n * n, 2) or pairs.dtype.kind not in "iuf":
+        raise ValueError(f"expected {n * n} [re, im] number pairs for side {n}")
+    return as_matrix(pairs.astype(float, copy=False).view(complex).reshape(n, n))

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotSymplectic
 from .linalg_core import (
-    DEFAULT_TOLERANCES,
-    Tolerances,
+    MEMBERSHIP_TOL,
+    _json_side,
     as_matrix,
     frobenius,
     matrix_from_json,
@@ -106,12 +106,12 @@ def structural_J(n: int) -> np.ndarray:
     return J
 
 
-def is_member(kind: SpaceKind, X, tol: Tolerances = DEFAULT_TOLERANCES) -> MembershipReport:
+def is_member(kind: SpaceKind, X) -> MembershipReport:
     """Check the three membership laws and report individual residuals.
 
     Unitarity ||X X* - E||, determinant |det X - 1|, and the family's
     symmetry law: ||tX - X|| for AI, ||tX - J X tJ|| for AII.  The verdict
-    is true when all residuals are at most membership_tol.
+    is true when all residuals are at most MEMBERSHIP_TOL.
     """
     X = as_matrix(X)
     m = kind.ambient_size
@@ -124,7 +124,7 @@ def is_member(kind: SpaceKind, X, tol: Tolerances = DEFAULT_TOLERANCES) -> Membe
     else:
         J = structural_J(kind.n)
         symmetry = frobenius(X.T - J @ X @ J.T)
-    member = max(unitarity, determinant, symmetry) <= tol.membership_tol
+    member = max(unitarity, determinant, symmetry) <= MEMBERSHIP_TOL
     return MembershipReport(unitarity, determinant, symmetry, member)
 
 
@@ -169,13 +169,14 @@ def sample(kind: SpaceKind, seed: int) -> SpacePoint:
     return sample_points(kind, 1, seed)[0]
 
 
-def symplectic_embed(A, B, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def symplectic_embed(A, B) -> np.ndarray:
     """Embed the quaternion matrix with complex blocks (A, B) into SU(2n).
 
     Returns the block matrix [[A, -conj(B)], [B, conj(A)]].  For a
     quaternion-unitary input the result is unitary and preserves J under
     congruence, which is verified post hoc; NotSymplectic is raised when
-    the J-preservation residual exceeds tolerance.
+    the J-preservation residual exceeds 100 MEMBERSHIP_TOL, relative to the
+    norm of the embedding.
     """
     A = as_matrix(A)
     B = as_matrix(B)
@@ -185,7 +186,7 @@ def symplectic_embed(A, B, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     M = np.block([[A, -B.conj()], [B, A.conj()]])
     J = structural_J(n)
     residual = frobenius(M @ J @ M.T - J)
-    if residual > 100.0 * tol.membership_tol * max(frobenius(M), 1.0):
+    if residual > 100.0 * MEMBERSHIP_TOL * max(frobenius(M), 1.0):
         raise NotSymplectic(
             f"embedded blocks do not preserve J (residual {residual:.3e})"
         )
@@ -201,5 +202,5 @@ def point_to_json(point: SpacePoint) -> dict:
 
 
 def point_from_json(doc: dict) -> SpacePoint:
-    kind = SpaceKind(Family(doc["family"]), int(doc["n"]))
+    kind = SpaceKind(Family(doc["family"]), _json_side(doc))
     return SpacePoint(kind, matrix_from_json(doc["matrix"]))

@@ -152,8 +152,7 @@ def test_describe_command(capsys):
 
 
 def test_tol_override_changes_verdict(capsys, tmp_path):
-    # a slightly perturbed member fails at the default tolerance but passes
-    # at a loose one
+    # a slightly perturbed member fails at the fixed membership gate
     path = tmp_path / "near.ndjson"
     X = np.eye(2) * np.exp(1e-6j)  # unitary, symmetric, det = e^{2e-6 i}
     entries = [[float(z.real), float(z.imag)] for z in X.ravel()]
@@ -161,9 +160,6 @@ def test_tol_override_changes_verdict(capsys, tmp_path):
     code, out, _ = invoke(capsys, ["check", "--input", str(path),
                                    "--space", "ai", "--n", "2"])
     assert code == 0 and json.loads(out)["member"] is False
-    code, out, _ = invoke(capsys, ["check", "--input", str(path),
-                                   "--space", "ai", "--n", "2", "--tol", "1e-3"])
-    assert code == 0 and json.loads(out)["member"] is True
 
 
 def test_usage_errors_exit_2(capsys):
@@ -180,6 +176,11 @@ def test_usage_errors_exit_2(capsys):
         ["contract", "--input", "missing.ndjson", "--alpha", "1", "--steps", "0"],
         ["cover", "--space", "ai", "--n", "3", "--seed", "1", "--trials", "0"],
         ["sample", "--space", "ai", "--n", "3", "--seed", "1", "--tol", "1e-3"],
+        ["check", "--input", "missing.ndjson", "--tol", "1e-3"],
+        ["sample", "--space", "ai", "--n", "0", "--seed", "1"],
+        ["sample", "--space", "ai", "--n", "-3", "--seed", "1"],
+        ["describe", "--family", "ai", "--params", "x"],
+        ["describe", "--family", "ai", "--params", "3,"],
     ):
         code, out, _ = invoke(capsys, argv)
         assert code == 2 and out == ""
@@ -201,3 +202,27 @@ def test_domain_errors_exit_1(capsys, tmp_path):
     missing = tmp_path / "missing.ndjson"
     code, _, _ = invoke(capsys, ["check", "--input", str(missing)])
     assert code == 1
+    # malformed records end in a domain error, never a traceback
+    for record in (
+        5,
+        None,
+        {"n": 1, "entries": 5},
+        {"n": 1, "entries": [["a", 0]]},
+        {"n": 1.5, "entries": [[1, 0]]},
+        {"family": "AI", "n": 1.5, "matrix": {"n": 1, "entries": [[1, 0]]}},
+        {"family": "AI", "n": 1, "matrix": [[1, 0]]},
+    ):
+        bad.write_text(json.dumps(record) + "\n")
+        code, out, err = invoke(capsys, ["check", "--space", "ai", "--n", "1",
+                                         "--input", str(bad)])
+        assert code == 1 and out == "" and err.startswith("error:")
+
+
+def test_input_records_are_streamed(capsys, tmp_path):
+    path, first = sample_to_file(
+        capsys, tmp_path, ["--space", "ai", "--n", "2", "--count", "1", "--seed", "4"]
+    )
+    path.write_text(first + "{not json\n")
+    code, out, err = invoke(capsys, ["check", "--input", str(path)])
+    assert code == 1 and "error:" in err
+    assert len(out.splitlines()) == 1 and json.loads(out)["member"] is True

@@ -11,8 +11,9 @@ from lscat.errors import (
     NotSymmetric,
 )
 from lscat.linalg_core import (
-    DEFAULT_TOLERANCES,
-    Tolerances,
+    BRANCH_MARGIN,
+    CLUSTER_TOL,
+    MEMBERSHIP_TOL,
     angular_distance,
     cluster_angles,
     eig_normal,
@@ -37,14 +38,8 @@ def random_rotation(m, rng):
     return q
 
 
-def test_tolerances_validation():
-    with pytest.raises(ValueError):
-        Tolerances(membership_tol=-1.0)
-    with pytest.raises(ValueError):
-        Tolerances(membership_tol=1e-3, cluster_tol=1e-6)
-    assert DEFAULT_TOLERANCES.membership_tol == 1e-9
-    assert DEFAULT_TOLERANCES.cluster_tol == 1e-6
-    assert DEFAULT_TOLERANCES.branch_margin == 1e-8
+def test_gate_constants():
+    assert (MEMBERSHIP_TOL, CLUSTER_TOL, BRANCH_MARGIN) == (1e-9, 1e-6, 1e-8)
 
 
 def test_eig_normal_diagonal_ordering():
