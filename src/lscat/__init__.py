@@ -55,7 +55,6 @@ from .linalg_core import (
     exp_skew_hermitian,
     matrix_from_json,
     matrix_to_json,
-    simdiag_real_symmetric,
 )
 from .spaces import (
     Family,
@@ -112,7 +111,6 @@ __all__ = [
     "exp_skew_hermitian",
     "matrix_from_json",
     "matrix_to_json",
-    "simdiag_real_symmetric",
     "Family",
     "MembershipReport",
     "SpaceKind",

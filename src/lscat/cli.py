@@ -50,6 +50,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of --alpha: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _int_tuple(text: str) -> tuple[int, ...]:
     """argparse type of --params: comma-separated integers."""
     try:
@@ -259,13 +270,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("log", help="branch-restricted logarithm of each input record")
     add_common(p)
-    p.add_argument("--alpha", type=float, default=None, help="branch angle in radians")
+    p.add_argument("--alpha", type=_finite_float, default=None, help="branch angle in radians")
     p.add_argument("--alpha-from-cover", action="store_true")
     p.set_defaults(func=_cmd_log)
 
     p = sub.add_parser("contract", help="contracting path of each input record")
     add_common(p)
-    p.add_argument("--alpha", type=float, default=None, help="branch angle in radians")
+    p.add_argument("--alpha", type=_finite_float, default=None, help="branch angle in radians")
     p.add_argument("--alpha-from-cover", action="store_true")
     p.add_argument("--steps", type=_positive_int, default=16)
     p.set_defaults(func=_cmd_contract)

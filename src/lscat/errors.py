@@ -22,14 +22,6 @@ class NoConvergence(LscatError):
     """An iterative kernel failed its residual check on every retry."""
 
 
-class NotSymmetric(LscatError):
-    """Input is not real symmetric."""
-
-
-class NotCommuting(LscatError):
-    """The two matrices to be jointly diagonalized do not commute."""
-
-
 class NotSkewHermitian(LscatError):
     """Input is not skew-Hermitian."""
 
@@ -44,10 +36,6 @@ class NotInSpace(LscatError):
 
 class NotSymplectic(LscatError):
     """Embedded quaternion blocks do not preserve the form matrix J."""
-
-
-class RootProductFailure(LscatError):
-    """Square-root product certificate failed; signals an eigen error upstream."""
 
 
 class OddPairingFailure(LscatError):

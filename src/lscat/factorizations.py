@@ -5,10 +5,14 @@ factor_skew writes a skew-symmetric special unitary X as P J tP, with
 P special unitary in both cases; factor_aii composes the skew case with
 the twist by J that defines the AII model.
 
-The symmetric algorithm jointly diagonalizes the commuting real symmetric
-matrices X + conj(X) and i(X - conj(X)) by a rotation B, halves the
-resulting unit eigenvalues with square roots whose product is fixed to 1,
-and returns P = B C.
+The symmetric algorithm takes the square root Y = V diag(r) V* of X from
+its eigendecomposition X = V diag(e^{i theta}) V*, with r = e^{i theta / 2}
+and every theta lifted into one turn that starts in the middle of the
+widest gap of the angles.  The cut is at least pi/n from every angle, so
+no cluster of eigenvalues is split between two branches.  Y is a function
+of X, so it is symmetric and Y tY = X; det Y = prod r is +-1, and on -1
+negating the last column of Y (a right factor Q with Q tQ = E) gives P
+with det P = 1.
 
 The skew algorithm pairs each eigenvector v (eigenvalue lam) with conj(v)
 (eigenvalue -lam), keeping the one whose angle lies in the half circle
@@ -38,7 +42,6 @@ from .errors import (
     NoConvergence,
     NotInSpace,
     OddPairingFailure,
-    RootProductFailure,
 )
 from .linalg_core import (
     MEMBERSHIP_TOL,
@@ -46,14 +49,17 @@ from .linalg_core import (
     as_matrix,
     eig_normal,
     frobenius,
-    simdiag_real_symmetric,
 )
 from .spaces import Family, SpaceKind, SpacePoint, is_member, structural_J
 
 
 @dataclass(frozen=True)
 class FactorizationIntermediates:
-    """Diagnostic record: rotation B, diagonal factor C, chosen roots."""
+    """Diagnostic record: basis B, diagonal factor C, chosen roots.
+
+    Skew case: B is a real rotation and P = B C.  Symmetric case: B is the
+    unitary eigenbasis of X and P = B C B*, up to the sign of one column.
+    """
 
     B: np.ndarray
     C: np.ndarray
@@ -69,9 +75,16 @@ class FactorizationResult:
     intermediates: FactorizationIntermediates | None = None
 
 
-def _half_angle_roots(values: np.ndarray) -> np.ndarray:
-    """Square roots of unit-modulus values, argument halved into [0, pi)."""
-    return np.exp(0.5j * np.mod(np.angle(values), TWO_PI))
+def _widest_gap_cut(angles, period: float) -> float:
+    """Middle of the widest gap between the angles taken mod period.
+
+    m points on a circle of length period leave a gap of at least
+    period/m, so every angle lies at least period/(2m) from the cut.
+    """
+    folded = np.sort(np.mod(angles, period))
+    gaps = np.diff(folded, append=folded[0] + period)
+    widest = int(np.argmax(gaps))
+    return folded[widest] + gaps[widest] / 2.0
 
 
 def factor_symmetric(X) -> FactorizationResult:
@@ -85,29 +98,22 @@ def factor_symmetric(X) -> FactorizationResult:
             f"(max residual {report.max_residual:.3e})"
         )
 
-    B, a, b = simdiag_real_symmetric(X + X.conj(), 1j * (X - X.conj()))
-    mu = (a - 1j * b) / 2.0
-    det_x = np.linalg.det(X)
-    if abs(np.prod(mu) - det_x) > 100.0 * MEMBERSHIP_TOL:
-        raise RootProductFailure("diagonalized eigenvalues do not multiply to det X")
+    dec = eig_normal(X)
+    angles = np.angle(dec.eigenvalues)
+    cut = _widest_gap_cut(angles, TWO_PI)
+    roots = np.exp(0.5j * (cut + np.mod(angles - cut, TWO_PI)))
+    P = (dec.P * roots) @ dec.P.conj().T
+    # prod(roots)^2 = det X = 1, so prod(roots) is +-1 up to roundoff.
+    if np.prod(roots).real < 0.0:
+        P[:, -1] = -P[:, -1]
 
-    roots = _half_angle_roots(mu)
-    prod = np.prod(roots)
-    # prod is +-1 up to roundoff; one sign flip restores the +1 branch.
-    if abs(prod + 1.0) < abs(prod - 1.0):
-        roots[-1] = -roots[-1]
-        prod = -prod
-    if abs(prod - 1.0) > 100.0 * MEMBERSHIP_TOL:
-        raise RootProductFailure("root product could not be normalized to 1")
-
-    P = B * roots
     residual = frobenius(X - P @ P.T)
     if residual > 10.0 * MEMBERSHIP_TOL * max(frobenius(X), 1.0):
         raise NoConvergence(f"symmetric factorization residual {residual:.3e}")
     return FactorizationResult(
         P=P,
         residual=residual,
-        intermediates=FactorizationIntermediates(B=B, C=np.diag(roots), roots=roots),
+        intermediates=FactorizationIntermediates(B=dec.P, C=np.diag(roots), roots=roots),
     )
 
 
@@ -123,10 +129,7 @@ def _conjugation_pairs(X, dec):
     Returns the chosen eigenvalues and eigenvectors.
     """
     angles = np.angle(dec.eigenvalues)
-    folded = np.sort(np.mod(angles, np.pi))
-    gaps = np.diff(folded, append=folded[0] + np.pi)
-    widest = int(np.argmax(gaps))
-    cut = folded[widest] + gaps[widest] / 2.0
+    cut = _widest_gap_cut(angles, np.pi)
     vs = dec.P[:, np.mod(angles - cut, TWO_PI) < np.pi]
     lams = np.einsum("ij,ij->j", vs.conj(), X @ vs)
     return lams, vs
@@ -171,7 +174,7 @@ def factor_skew(X) -> FactorizationResult:
         lams[0] = -lams[0]
         B[:, n] = -B[:, n]
 
-    roots = _half_angle_roots(1j * lams)
+    roots = np.exp(0.5j * np.mod(np.angle(1j * lams), TWO_PI))
     if (np.prod(roots) ** 2).real < 0.0:
         raise ComponentObstruction(
             "det(B C) = -1: the input lies in the skew congruence orbit "

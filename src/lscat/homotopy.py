@@ -77,8 +77,11 @@ def branch_log(X, alpha: float) -> BranchLog:
 
     Raises BranchViolation when some eigenvalue is closer than BRANCH_MARGIN
     to the branch point e^{i alpha}; that failure is exactly the signal that
-    X lies outside the covering set avoiding e^{i alpha}.
+    X lies outside the covering set avoiding e^{i alpha}.  A non-finite
+    alpha raises ValueError.
     """
+    if not np.isfinite(alpha):
+        raise ValueError(f"branch angle must be finite, got {alpha!r}")
     X = as_matrix(X)
     if not _near_unitary(X):
         raise NotUnitary("branch logarithm is defined for unitary matrices only")

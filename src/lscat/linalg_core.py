@@ -1,9 +1,9 @@
 """Dense complex matrix kernels shared by the whole package.
 
-Three operations carry all the analytic weight elsewhere: an
-eigendecomposition for normal matrices (unitary and skew-Hermitian inputs),
-simultaneous diagonalization of commuting real symmetric matrices, and the
-matrix exponential of a skew-Hermitian matrix.
+Two operations carry all the analytic weight elsewhere: an
+eigendecomposition for normal matrices (unitary and skew-Hermitian
+inputs), from which every spectrum of a point is read, and the matrix
+exponential of a skew-Hermitian matrix.
 
 Everything is reduced to Hermitian eigensolves: a normal matrix splits into
 commuting Hermitian parts, and a single solve of a generically weighted
@@ -23,18 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NoConvergence,
-    NotCommuting,
-    NotNormal,
-    NotSkewHermitian,
-    NotSymmetric,
-)
+from .errors import NoConvergence, NotNormal, NotSkewHermitian
 
 TWO_PI = 2.0 * np.pi
 
-# Mixing weights for the generic-combination trick in eig_normal and
-# simdiag_real_symmetric.  Irrational and pairwise incommensurate.
+# Mixing weights for the generic-combination trick in eig_normal.
+# Irrational and pairwise incommensurate.
 _MIX_WEIGHTS = (
     0.7853981633974483,   # pi/4
     1.618033988749895,    # golden ratio
@@ -86,10 +80,6 @@ def _scale(a) -> float:
     """Frobenius norm of the input, or 1 for the zero matrix."""
     nrm = frobenius(a)
     return nrm if nrm > 0.0 else 1.0
-
-
-def _offdiag_norm(a) -> float:
-    return frobenius(a - np.diag(np.diagonal(a)))
 
 
 def _near_unitary(X) -> bool:
@@ -169,45 +159,6 @@ def exp_skew_hermitian(H) -> np.ndarray:
     return (V * np.exp(1j * w)) @ V.conj().T
 
 
-def simdiag_real_symmetric(S1, S2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Jointly diagonalize two commuting real symmetric matrices.
-
-    Returns (B, d1, d2) with B real orthogonal, det(B) = +1, and
-    tB S1 B = diag(d1), tB S2 B = diag(d2) within MEMBERSHIP_TOL.  The joint
-    basis comes from one symmetric eigensolve of a generically weighted
-    combination of the normalized inputs, retried with fresh weights until
-    both off-diagonal residuals pass.
-    """
-    S1 = as_matrix(S1)
-    S2 = as_matrix(S2)
-    if S1.shape != S2.shape:
-        raise NotCommuting("matrices must share a common shape")
-    s1, s2 = _scale(S1), _scale(S2)
-    for S, s in ((S1, s1), (S2, s2)):
-        if frobenius(S.imag) > MEMBERSHIP_TOL * s:
-            raise NotSymmetric("matrix has a non-negligible imaginary part")
-        if frobenius(S - S.T) > MEMBERSHIP_TOL * s:
-            raise NotSymmetric("matrix is not symmetric")
-    if frobenius(S1 @ S2 - S2 @ S1) > 100.0 * MEMBERSHIP_TOL * s1 * s2:
-        raise NotCommuting("matrices do not commute")
-
-    A1 = S1.real
-    A2 = S2.real
-    for mu in _MIX_WEIGHTS:
-        _, B = np.linalg.eigh(A1 / s1 + mu * (A2 / s2))
-        D1 = B.T @ A1 @ B
-        D2 = B.T @ A2 @ B
-        if (
-            _offdiag_norm(D1) <= MEMBERSHIP_TOL * s1
-            and _offdiag_norm(D2) <= MEMBERSHIP_TOL * s2
-        ):
-            if np.linalg.det(B) < 0.0:
-                B = B.copy()
-                B[:, -1] = -B[:, -1]
-            return B, np.diagonal(D1).copy(), np.diagonal(D2).copy()
-    raise NoConvergence("no mixing weight split the joint eigenbasis")
-
-
 def matrix_to_json(m) -> dict:
     """Serialize a square complex matrix as {"n":..., "entries":[[re,im],...]}."""
     m = as_matrix(m)
@@ -228,7 +179,14 @@ def _json_side(doc) -> int:
 def matrix_from_json(doc: dict) -> np.ndarray:
     """Parse the matrix JSON format; ValueError unless it holds n*n [re, im] number pairs."""
     n = _json_side(doc)
-    pairs = np.array(doc["entries"])
-    if pairs.shape != (n * n, 2) or pairs.dtype.kind not in "iuf":
+    entries = doc["entries"]
+    try:
+        pairs = np.array(entries)
+    except ValueError:  # ragged nesting
+        pairs = np.empty(0)
+    # np.array reads JSON booleans as 0 and 1, so only those entries can be one.
+    if pairs.shape != (n * n, 2) or pairs.dtype.kind not in "iuf" or any(
+        type(entries[k // 2][k % 2]) is bool for k in np.flatnonzero((pairs == 0) | (pairs == 1))
+    ):
         raise ValueError(f"expected {n * n} [re, im] number pairs for side {n}")
     return as_matrix(pairs.astype(float, copy=False).view(complex).reshape(n, n))

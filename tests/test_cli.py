@@ -181,6 +181,10 @@ def test_usage_errors_exit_2(capsys):
         ["sample", "--space", "ai", "--n", "-3", "--seed", "1"],
         ["describe", "--family", "ai", "--params", "x"],
         ["describe", "--family", "ai", "--params", "3,"],
+        ["log", "--input", "missing.ndjson", "--alpha", "nan"],
+        ["log", "--input", "missing.ndjson", "--alpha", "inf"],
+        ["contract", "--input", "missing.ndjson", "--alpha=-inf"],
+        ["contract", "--input", "missing.ndjson", "--alpha", "NaN"],
     ):
         code, out, _ = invoke(capsys, argv)
         assert code == 2 and out == ""
@@ -211,6 +215,9 @@ def test_domain_errors_exit_1(capsys, tmp_path):
         {"n": 1.5, "entries": [[1, 0]]},
         {"family": "AI", "n": 1.5, "matrix": {"n": 1, "entries": [[1, 0]]}},
         {"family": "AI", "n": 1, "matrix": [[1, 0]]},
+        {"n": 1, "entries": [[True, 0]]},
+        {"n": 1, "entries": [[1.5, True]]},
+        {"n": 1, "entries": [[1, 0], [1]]},
     ):
         bad.write_text(json.dumps(record) + "\n")
         code, out, err = invoke(capsys, ["check", "--space", "ai", "--n", "1",

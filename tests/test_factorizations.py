@@ -70,6 +70,41 @@ def test_factor_symmetric_rejects_nonmembers():
         factor_symmetric(U)
 
 
+def _structured_angles(m, kind, spread, rng):
+    """m eigenvalue angles summing to 0 mod 2 pi, with the structure kind names."""
+    if kind == "free":
+        # a near-degenerate cluster straddling pi, completed by one free angle
+        head = np.pi + spread * rng.standard_normal(m - 1)
+        return np.append(head, -head.sum())
+    h = m // 2
+    half = {
+        "pm1": lambda: rng.choice([0.0, np.pi], h),
+        "pmi": lambda: rng.choice([0.0, np.pi, 0.5 * np.pi, -0.5 * np.pi], h),
+        "exact": lambda: rng.choice(rng.uniform(-np.pi, np.pi, 2), h),
+        "near": lambda: rng.uniform(-np.pi, np.pi) + spread * rng.standard_normal(h),
+        "straddle0": lambda: spread * rng.standard_normal(h),
+        "straddlepi": lambda: np.pi + spread * rng.standard_normal(h),
+    }[kind]()
+    # each angle with its negative, so det is 1; -(pi + d) is pi - d mod 2 pi
+    return np.concatenate([half, -half, np.zeros(m % 2)])
+
+
+def test_factor_symmetric_structured_spectra():
+    # X = O diag(e^{i theta}) tO with O Haar in SO(m)
+    rng = np.random.default_rng(59)
+    for m in range(1, 33):
+        for kind in ("pm1", "pmi", "exact", "near", "straddle0", "straddlepi", "free"):
+            for spread in (1e-12, 1e-9, 2e-6):
+                theta = _structured_angles(m, kind, spread, rng)
+                O, r = np.linalg.qr(rng.standard_normal((m, m)))
+                O = O * np.sign(np.diagonal(r))
+                O[:, 0] *= np.linalg.det(O)
+                X = (O * np.exp(1j * theta)) @ O.T
+                res = factor_symmetric(X)
+                assert np.linalg.norm(X - res.P @ res.P.T) <= 1e-9
+                assert_special_unitary(res.P)
+
+
 def test_factor_skew_structural_cases():
     for n in (1, 2, 3, 4):
         J = structural_J(n)

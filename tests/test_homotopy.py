@@ -50,6 +50,12 @@ def test_branch_log_rejects_nonunitary():
         branch_log(2.0 * np.eye(2), np.pi)
 
 
+def test_branch_log_rejects_non_finite_alpha():
+    for alpha in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            branch_log(np.eye(2), alpha)
+
+
 def test_branch_log_matches_principal_log_shifted():
     # at alpha = pi the lifts are the principal angles plus 2 pi
     pt = sample(SpaceKind.ai(4), seed=15)

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from lscat.errors import (
-    NotCommuting,
-    NotNormal,
-    NotSkewHermitian,
-    NotSymmetric,
-)
+from lscat.errors import NotNormal, NotSkewHermitian
 from lscat.linalg_core import (
     BRANCH_MARGIN,
     CLUSTER_TOL,
@@ -20,7 +15,6 @@ from lscat.linalg_core import (
     exp_skew_hermitian,
     matrix_from_json,
     matrix_to_json,
-    simdiag_real_symmetric,
 )
 
 
@@ -28,14 +22,6 @@ def random_unitary(m, rng):
     z = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
-def random_rotation(m, rng):
-    q, r = np.linalg.qr(rng.standard_normal((m, m)))
-    q = q * np.sign(np.diagonal(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q
 
 
 def test_gate_constants():
@@ -117,54 +103,6 @@ def test_exp_skew_matches_scipy_and_preserves_unitarity():
         assert np.linalg.norm(U @ U.conj().T - np.eye(m)) <= 1e-9
         # det(exp H) = exp(tr H)
         assert abs(np.linalg.det(U) - np.exp(np.trace(H))) < 1e-9 * abs(np.exp(np.trace(H)))
-
-
-def test_simdiag_already_diagonal():
-    B, d1, d2 = simdiag_real_symmetric(np.diag([2.0, 0.0]), np.diag([0.0, 2.0]))
-    assert np.allclose(B.T @ B, np.eye(2), atol=1e-12)
-    assert sorted(zip(np.round(d1, 9), np.round(d2, 9))) == [(0.0, 2.0), (2.0, 0.0)]
-
-
-def test_simdiag_zero_case():
-    B, d1, d2 = simdiag_real_symmetric(np.zeros((3, 3)), np.zeros((3, 3)))
-    assert np.allclose(B.T @ B, np.eye(3), atol=1e-12)
-    assert np.linalg.det(B) == pytest.approx(1.0, abs=1e-10)
-    assert np.allclose(d1, 0.0) and np.allclose(d2, 0.0)
-
-
-def test_simdiag_construct_then_recover():
-    rng = np.random.default_rng(5)
-    R = random_rotation(2, rng)
-    S1 = R @ np.diag([1.0, 3.0]) @ R.T
-    S2 = R @ np.diag([5.0, 2.0]) @ R.T
-    B, d1, d2 = simdiag_real_symmetric(S1, S2)
-    pairs = sorted(zip(np.round(d1, 8), np.round(d2, 8)))
-    assert pairs == [(1.0, 5.0), (3.0, 2.0)]
-    assert np.linalg.norm(B.T @ S1 @ B - np.diag(d1)) < 1e-9
-    assert np.linalg.norm(B.T @ S2 @ B - np.diag(d2)) < 1e-9
-
-
-def test_simdiag_orthogonality_invariant():
-    rng = np.random.default_rng(31)
-    for _ in range(100):
-        m = int(rng.integers(1, 7))
-        R = random_rotation(m, rng)
-        S1 = R @ np.diag(rng.standard_normal(m)) @ R.T
-        S2 = R @ np.diag(rng.standard_normal(m)) @ R.T
-        B, d1, d2 = simdiag_real_symmetric(S1, S2)
-        assert np.linalg.norm(B.T @ B - np.eye(m)) <= 1e-10
-        assert np.linalg.det(B) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_simdiag_rejects_bad_inputs():
-    with pytest.raises(NotSymmetric):
-        simdiag_real_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
-    with pytest.raises(NotSymmetric):
-        simdiag_real_symmetric(1j * np.eye(2), np.eye(2))
-    S1 = np.diag([1.0, 2.0])
-    S2 = np.array([[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(NotCommuting):
-        simdiag_real_symmetric(S1, S2)
 
 
 def test_angular_distance_folding():
