@@ -61,6 +61,30 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_alpha(argv: list[str]) -> list[str]:
+    """Rewrite `--alpha X` as `--alpha=X` when X parses as a float.
+
+    argparse reads only plain negative decimals such as -1.5 as option
+    values; without this, `--alpha -1e-3` fails as a missing argument.
+    _finite_float still validates the value.
+    """
+    out = []
+    for token in argv:
+        if out and out[-1] == "--alpha" and _is_float(token):
+            out[-1] = f"--alpha={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def _int_tuple(text: str) -> tuple[int, ...]:
     """argparse type of --params: comma-separated integers."""
     try:
@@ -306,7 +330,7 @@ def run(argv: list[str]) -> int:
     """Dispatch one command; returns the process exit code."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_alpha(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -7,10 +7,10 @@ unitary X the lifted angles sum to an integer multiple of 2 pi; that
 integer is the winding index, constant on connected components of the
 branch domain.
 
-The contraction evaluates the linear path (1 - s) H + s (2 pi i k / m) E
-inside the skew-Hermitian matrices (m is the ambient side) and exponentiates;
-the endpoint is the scalar matrix exp(2 pi i k / m) E and every intermediate
-point stays inside the space, which is re-verified sample by sample.
+The contraction exponentiates the linear path (1 - s) H + s (2 pi i k / m) E
+(m is the ambient side) on the eigenbasis of H, which the scalar target
+shares; the endpoint is the scalar matrix exp(2 pi i k / m) E and every
+intermediate point stays inside the space, re-verified sample by sample.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .linalg_core import (
     _near_unitary,
     as_matrix,
     eig_normal,
-    exp_skew_hermitian,
 )
 from .spaces import MembershipReport, SpaceKind, SpacePoint, is_member
 
@@ -72,14 +71,8 @@ class InconsistentWinding:
     values: tuple[int, ...]
 
 
-def branch_log(X, alpha: float) -> BranchLog:
-    """Logarithm of a unitary X with eigenvalue angles in (alpha, alpha + 2 pi).
-
-    Raises BranchViolation when some eigenvalue is closer than BRANCH_MARGIN
-    to the branch point e^{i alpha}; that failure is exactly the signal that
-    X lies outside the covering set avoiding e^{i alpha}.  A non-finite
-    alpha raises ValueError.
-    """
+def _lift(X, alpha: float) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """(P, theta, alpha mod 2 pi, margin) of X = P diag(e^{i theta}) P*."""
     if not np.isfinite(alpha):
         raise ValueError(f"branch angle must be finite, got {alpha!r}")
     X = as_matrix(X)
@@ -93,8 +86,19 @@ def branch_log(X, alpha: float) -> BranchLog:
         raise BranchViolation(
             f"eigenvalue within {margin:.3e} of the branch point", margin=margin
         )
-    theta = alpha + rel
-    H = (dec.P * (1j * theta)) @ dec.P.conj().T
+    return dec.P, alpha + rel, alpha, margin
+
+
+def branch_log(X, alpha: float) -> BranchLog:
+    """Logarithm of a unitary X with eigenvalue angles in (alpha, alpha + 2 pi).
+
+    Raises BranchViolation when some eigenvalue is closer than BRANCH_MARGIN
+    to the branch point e^{i alpha}; that failure is exactly the signal that
+    X lies outside the covering set avoiding e^{i alpha}.  A non-finite
+    alpha raises ValueError.
+    """
+    P, theta, alpha, margin = _lift(X, alpha)
+    H = (P * (1j * theta)) @ P.conj().T
     H = (H - H.conj().T) / 2.0
     winding = int(round(float(np.trace(H).imag) / TWO_PI))
     return BranchLog(H=H, alpha=alpha, winding=winding, margin=margin)
@@ -105,23 +109,26 @@ def contract(point: SpacePoint, alpha: float, steps: int = 16) -> HomotopyPath:
 
     The target logarithm is (2 pi i k / m) E with m the ambient side; for
     the symmetric family this is the scalar 2 pi i k / n and for the
-    twisted family pi i k / n, both covered by the same formula.  Every
-    sample is re-checked for membership; MembershipDrift indicates an
-    implementation bug, since the path provably stays inside the space.
+    twisted family pi i k / n, both covered by the same formula.  The
+    scalar target commutes with H = P diag(i theta) P*, so the sample at s
+    is P diag(exp(i((1 - s) theta + s 2 pi k / m))) P*, formed on the
+    logarithm's one eigendecomposition.  Every sample is re-checked for
+    membership; MembershipDrift indicates an implementation bug, since
+    the path provably stays inside the space.
     """
     if steps < 1:
         raise ValueError("steps must be a positive integer")
     kind = point.kind
     m = kind.ambient_size
-    bl = branch_log(point.matrix, alpha)
-    log_target = TWO_PI * 1j * bl.winding / m
-    target_scalar = complex(np.exp(log_target))
-    E = np.eye(m)
+    P, theta, _, _ = _lift(point.matrix, alpha)
+    Ph = P.conj().T
+    winding = int(round(float(np.sum(theta)) / TWO_PI))
+    angle_target = TWO_PI * winding / m
+    target_scalar = complex(np.exp(1j * angle_target))
     samples = []
     for i in range(steps + 1):
         s = i / steps
-        A = (1.0 - s) * bl.H + s * log_target * E
-        F = exp_skew_hermitian(A)
+        F = (P * np.exp(1j * ((1.0 - s) * theta + s * angle_target))) @ Ph
         report = is_member(kind, F)
         if report.max_residual > 100.0 * MEMBERSHIP_TOL:
             raise MembershipDrift(

@@ -98,6 +98,17 @@ def test_explicit_alpha(capsys, tmp_path):
     assert json.loads(out)["alpha"] == pytest.approx(3.14159)
 
 
+def test_alpha_takes_negative_exponent_form(capsys, tmp_path):
+    path, _ = sample_to_file(
+        capsys, tmp_path, ["--space", "ai", "--n", "3", "--count", "1", "--seed", "13"]
+    )
+    for command in ("log", "contract"):
+        code, joined, _ = invoke(capsys, [command, "--input", str(path), "--alpha=-1e-3"])
+        assert code == 0
+        code, spaced, _ = invoke(capsys, [command, "--input", str(path), "--alpha", "-1e-3"])
+        assert code == 0 and spaced == joined
+
+
 def test_cover_classify_and_audit(capsys, tmp_path):
     path, _ = sample_to_file(
         capsys, tmp_path, ["--space", "aii", "--n", "2", "--count", "1", "--seed", "3"]
@@ -184,6 +195,7 @@ def test_usage_errors_exit_2(capsys):
         ["log", "--input", "missing.ndjson", "--alpha", "nan"],
         ["log", "--input", "missing.ndjson", "--alpha", "inf"],
         ["contract", "--input", "missing.ndjson", "--alpha=-inf"],
+        ["contract", "--input", "missing.ndjson", "--alpha", "-inf"],
         ["contract", "--input", "missing.ndjson", "--alpha", "NaN"],
     ):
         code, out, _ = invoke(capsys, argv)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.stats
 
 from lscat.errors import BranchViolation, NotUnitary
 from lscat.homotopy import (
@@ -133,6 +134,84 @@ def test_contract_endpoints_and_membership():
                 assert s.residuals.member
                 assert s.residuals.max_residual <= 1e-8
                 assert s.residuals.determinant <= 1e-9
+
+
+def _unitary_symplectic(n, rng):
+    # exp of [[A, -conj B], [B, conj A]], A skew-Hermitian, B symmetric
+    g = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+    A = (g[0] - g[0].conj().T) / 2.0
+    B = (g[1] + g[1].T) / 2.0
+    return scipy.linalg.expm(np.block([[A, -B.conj()], [B, A.conj()]]))
+
+
+def _structured_phases(k, kind, rng):
+    """k unit phases with the structure kind names; their product is 1."""
+    values = {
+        "pm1": lambda: rng.choice([1.0, -1.0], k),
+        "pmi": lambda: rng.choice([1.0, -1.0, 1j, -1j], k),
+        "cluster": lambda: rng.choice(np.exp(1j * rng.uniform(-np.pi, np.pi, 2)), k),
+    }[kind]().astype(complex)
+    values[-1] = 1.0 / np.prod(values[:-1])
+    return values
+
+
+def _contract_cases():
+    """(point, alpha) pairs: Haar, scalar and structured-spectrum members."""
+    rng = np.random.default_rng(71)
+    for seed in range(2):
+        for n in (1, 2, 3, 8, 32, 64):
+            yield sample(SpaceKind.ai(n), seed=seed), np.pi / 7
+        for n in (1, 2, 4, 16, 32):
+            yield sample(SpaceKind.aii(n), seed=seed), 4.0
+    for n in (1, 2, 3, 4):
+        yield SpacePoint(SpaceKind.ai(n), np.eye(n)), np.pi / 2
+        yield SpacePoint(SpaceKind.aii(n), np.eye(2 * n)), np.pi / 2
+        yield SpacePoint(SpaceKind.aii(n), -np.eye(2 * n)), np.pi / 2
+        if n % 2 == 0:
+            yield SpacePoint(SpaceKind.ai(n), -np.eye(n)), np.pi / 2
+    for kind in ("pm1", "pmi", "cluster"):
+        for n in (2, 3, 8, 32):
+            O = scipy.stats.special_ortho_group.rvs(2 * n, random_state=rng)
+            X = (O * _structured_phases(2 * n, kind, rng)) @ O.T
+            yield SpacePoint(SpaceKind.ai(2 * n), X), np.pi / 4
+            # diag(d, d) commutes with J; conjugating by Sp(n) keeps tX = J X tJ
+            U = _unitary_symplectic(n, rng)
+            d = _structured_phases(n, kind, rng)
+            X = (U * np.concatenate([d, d])) @ U.conj().T
+            yield SpacePoint(SpaceKind.aii(n), X), np.pi / 4
+
+
+def test_contract_samples_match_exponential_oracle():
+    # each sample is exp((1 - s) H + s c E) with H = branch_log, c = 2 pi i k / m
+    count = 0
+    for point, alpha in _contract_cases():
+        assert is_member(point.kind, point.matrix).member
+        m = point.kind.ambient_size
+        bl = branch_log(point.matrix, alpha)
+        c = 2j * np.pi * bl.winding / m
+        path = contract(point, alpha, steps=16)
+        assert path.target_scalar == np.exp(c)
+        for smp in path.samples:
+            oracle = exp_skew_hermitian((1.0 - smp.s) * bl.H + smp.s * c * np.eye(m))
+            assert np.linalg.norm(smp.point.matrix - oracle) <= 1e-11
+        count += 1
+    assert count == 60
+
+
+def test_contract_makes_one_eigensolve(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(None)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    for kind in (SpaceKind.ai(16), SpaceKind.aii(8)):
+        point = sample(kind, seed=5)
+        calls.clear()
+        contract(point, np.pi / 7, steps=16)
+        assert len(calls) == 1
 
 
 def test_contract_propagates_branch_violation():
