@@ -18,7 +18,7 @@ from .catbounds import ClassicalFamily, describe, descriptor_to_json, render_tab
 from .cover import classify, cover_audit, default_cover
 from .errors import LscatError
 from .factorizations import factor_aii, factor_symmetric
-from .homotopy import branch_log, contract
+from .homotopy import _contraction, branch_log
 from .linalg_core import matrix_from_json, matrix_to_json
 from .spaces import (
     Family,
@@ -29,6 +29,10 @@ from .spaces import (
     point_to_json,
     sample_points,
 )
+
+
+#: Largest ambient matrix side --space/--n may name: n for ai, 2n for aii.
+_MAX_SIDE = 4096
 
 
 def _emit(obj) -> None:
@@ -96,7 +100,10 @@ def _int_tuple(text: str) -> tuple[int, ...]:
 def _kind_from_flags(parser, args) -> SpaceKind:
     if args.space is None or args.n is None:
         parser.error("--space and --n are required here")
-    return SpaceKind(Family(args.space.upper()), args.n)
+    kind = SpaceKind(Family(args.space.upper()), args.n)
+    if kind.ambient_size > _MAX_SIDE:
+        parser.error(f"matrix side {kind.ambient_size} is above the ceiling {_MAX_SIDE}")
+    return kind
 
 
 def _read_records(path: str) -> Iterator:
@@ -192,28 +199,30 @@ def _cmd_log(parser, args) -> int:
 
 
 def _cmd_contract(parser, args) -> int:
+    """One JSON list of samples per point, written element by element."""
     for point in _points_from_input(parser, args):
         alpha = _resolve_alpha(parser, args, point)
-        path = contract(point, alpha, steps=args.steps)
-        _emit(
-            [
-                {
-                    "s": s.s,
-                    "matrix": matrix_to_json(s.point.matrix),
-                    "residuals": {
-                        "unitarity": s.residuals.unitarity,
-                        "determinant": s.residuals.determinant,
-                        "symmetry": s.residuals.symmetry,
-                        "member": s.residuals.member,
-                    },
-                }
-                for s in path.samples
-            ]
-        )
-        worst = max(s.residuals.max_residual for s in path.samples)
+        target_scalar, samples = _contraction(point, alpha, args.steps)
+        worst = 0.0
+        separator = "["
+        for s in samples:
+            record = {
+                "s": s.s,
+                "matrix": matrix_to_json(s.point.matrix),
+                "residuals": {
+                    "unitarity": s.residuals.unitarity,
+                    "determinant": s.residuals.determinant,
+                    "symmetry": s.residuals.symmetry,
+                    "member": s.residuals.member,
+                },
+            }
+            sys.stdout.write(separator + json.dumps(record))
+            separator = ", "
+            worst = max(worst, s.residuals.max_residual)
+        sys.stdout.write("]\n")
         _note(
             f"contracted in {args.steps} steps to scalar "
-            f"{path.target_scalar:.6f}; max residual {worst:.3e}"
+            f"{target_scalar:.6f}; max residual {worst:.3e}"
         )
     return 0
 
@@ -271,7 +280,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_space(p):
         p.add_argument("--space", choices=["ai", "aii"], help="family of bare-matrix input")
-        p.add_argument("--n", type=_positive_int, help="family parameter n")
+        p.add_argument("--n", type=_positive_int,
+                       help=f"family parameter n; the matrix side (n for ai, 2n for aii) "
+                       f"is at most {_MAX_SIDE}")
 
     def add_common(p, input_default="-"):
         add_space(p)

@@ -7,6 +7,12 @@ e^{2 pi i r/n} keeps the lambdas equally spaced and certifies both
 non-unit-product conditions at once: the plain product is +-i (symmetric
 family) and the squared product is -1 (twisted family), so no member can
 have all the lambdas as eigenvalues and the A_r cover the space.
+
+Classification needs only the eigenvalue angles of a point.  One function
+of the angles gives the margins of a whole stack of spectra, and the audit
+draws, solves and classifies its samples as (c, m, m) stacks of at most
+2^16 complex entries per array, so its memory does not grow with the
+number of trials.
 """
 
 from __future__ import annotations
@@ -19,12 +25,11 @@ from .errors import DimensionMismatch, NotInSpace, OddMultiplicity
 from .linalg_core import (
     BRANCH_MARGIN,
     CLUSTER_TOL,
-    _near_unitary,
+    _unitary_eigvals,
     angular_distance,
     cluster_angles,
-    eig_normal,
 )
-from .spaces import Family, SpaceKind, SpacePoint, is_member, sample_points
+from .spaces import Family, SpaceKind, SpacePoint, _member_stacks, is_member
 
 
 @dataclass(frozen=True)
@@ -78,16 +83,18 @@ def classify(config: CoverConfig, point: SpacePoint) -> CoverClassification:
         raise DimensionMismatch(
             f"point kind {point.kind} does not match cover kind {config.kind}"
         )
-    if not _near_unitary(point.matrix):
-        raise NotInSpace("classification needs a unitary matrix")
-    angles = np.angle(eig_normal(point.matrix).eigenvalues)
-    margins = tuple(
-        float(np.min(angular_distance(angles, np.angle(lam))))
-        for lam in config.lambdas
-    )
+    (row,) = _margins(config, np.angle(_unitary_eigvals(point.matrix[None])))
+    margins = tuple(float(margin) for margin in row)
     memberships = tuple(margin >= BRANCH_MARGIN for margin in margins)
-    witness = int(np.argmax(margins))
-    return CoverClassification(memberships=memberships, margins=margins, witness=witness)
+    return CoverClassification(
+        memberships=memberships, margins=margins, witness=int(np.argmax(row))
+    )
+
+
+def _margins(config: CoverConfig, angles: np.ndarray) -> np.ndarray:
+    """(T, n) margins of each (T, m) row of eigenvalue angles against each lambda."""
+    distances = angular_distance(angles[:, :, None], np.angle(np.array(config.lambdas)))
+    return np.min(distances, axis=1)
 
 
 def multiplicity_audit(point: SpacePoint) -> list[tuple[complex, int]]:
@@ -104,7 +111,7 @@ def multiplicity_audit(point: SpacePoint) -> list[tuple[complex, int]]:
         raise NotInSpace(
             f"input fails the membership laws (max residual {report.max_residual:.3e})"
         )
-    eig = eig_normal(point.matrix).eigenvalues
+    eig = _unitary_eigvals(point.matrix[None])[0]
     angles = np.angle(eig)
     out = []
     for cluster in cluster_angles(angles, CLUSTER_TOL):
@@ -133,20 +140,19 @@ def cover_audit(kind: SpaceKind, trials: int, seed: int) -> CoverAuditReport:
     if trials < 1:
         raise ValueError("trials must be a positive integer")
     config = default_cover(kind)
-    occupancy = [0] * kind.n
+    occupancy = np.zeros(kind.n, dtype=int)
     covered = 0
     min_witness_margin = np.inf
-    for point in sample_points(kind, trials, seed):
-        cls = classify(config, point)
-        if any(cls.memberships):
-            covered += 1
-        for r, hit in enumerate(cls.memberships):
-            occupancy[r] += int(hit)
-        min_witness_margin = min(min_witness_margin, cls.margins[cls.witness])
+    for stack in _member_stacks(kind, trials, seed):
+        margins = _margins(config, np.angle(_unitary_eigvals(stack)))
+        hits = margins >= BRANCH_MARGIN
+        covered += int(np.count_nonzero(hits.any(axis=1)))
+        occupancy += hits.sum(axis=0)
+        min_witness_margin = min(min_witness_margin, float(margins.max(axis=1).min()))
     return CoverAuditReport(
         kind=kind,
         trials=trials,
         covered_fraction=covered / trials,
-        occupancy=tuple(occupancy),
-        min_witness_margin=float(min_witness_margin),
+        occupancy=tuple(int(count) for count in occupancy),
+        min_witness_margin=min_witness_margin,
     )

@@ -15,6 +15,7 @@ intermediate point stays inside the space, re-verified sample by sample.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,6 +105,37 @@ def branch_log(X, alpha: float) -> BranchLog:
     return BranchLog(H=H, alpha=alpha, winding=winding, margin=margin)
 
 
+def _contraction(
+    point: SpacePoint, alpha: float, steps: int
+) -> tuple[complex, Iterator[PathSample]]:
+    """The target scalar of contract and a generator of its samples.
+
+    The logarithm is taken before returning, so its errors come first; the
+    samples are formed and checked one at a time as they are drawn.
+    """
+    if steps < 1:
+        raise ValueError("steps must be a positive integer")
+    kind = point.kind
+    P, theta, _, _ = _lift(point.matrix, alpha)
+    winding = int(round(float(np.sum(theta)) / TWO_PI))
+    angle_target = TWO_PI * winding / kind.ambient_size
+
+    def samples() -> Iterator[PathSample]:
+        Ph = P.conj().T
+        for i in range(steps + 1):
+            s = i / steps
+            F = (P * np.exp(1j * ((1.0 - s) * theta + s * angle_target))) @ Ph
+            report = is_member(kind, F)
+            if report.max_residual > 100.0 * MEMBERSHIP_TOL:
+                raise MembershipDrift(
+                    f"path point at s={s:g} drifted out of the space "
+                    f"(residual {report.max_residual:.3e})"
+                )
+            yield PathSample(s=s, point=SpacePoint(kind, F), residuals=report)
+
+    return complex(np.exp(1j * angle_target)), samples()
+
+
 def contract(point: SpacePoint, alpha: float, steps: int = 16) -> HomotopyPath:
     """Contract a member along the linear log path onto a scalar matrix.
 
@@ -116,28 +148,9 @@ def contract(point: SpacePoint, alpha: float, steps: int = 16) -> HomotopyPath:
     membership; MembershipDrift indicates an implementation bug, since
     the path provably stays inside the space.
     """
-    if steps < 1:
-        raise ValueError("steps must be a positive integer")
-    kind = point.kind
-    m = kind.ambient_size
-    P, theta, _, _ = _lift(point.matrix, alpha)
-    Ph = P.conj().T
-    winding = int(round(float(np.sum(theta)) / TWO_PI))
-    angle_target = TWO_PI * winding / m
-    target_scalar = complex(np.exp(1j * angle_target))
-    samples = []
-    for i in range(steps + 1):
-        s = i / steps
-        F = (P * np.exp(1j * ((1.0 - s) * theta + s * angle_target))) @ Ph
-        report = is_member(kind, F)
-        if report.max_residual > 100.0 * MEMBERSHIP_TOL:
-            raise MembershipDrift(
-                f"path point at s={s:g} drifted out of the space "
-                f"(residual {report.max_residual:.3e})"
-            )
-        samples.append(PathSample(s=s, point=SpacePoint(kind, F), residuals=report))
+    target_scalar, samples = _contraction(point, alpha, steps)
     return HomotopyPath(
-        kind=kind, source=point, target_scalar=target_scalar, samples=tuple(samples)
+        kind=point.kind, source=point, target_scalar=target_scalar, samples=tuple(samples)
     )
 
 

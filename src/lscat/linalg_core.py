@@ -11,6 +11,11 @@ combination recovers a joint eigenbasis.  The weight is drawn from a fixed
 list of incommensurate constants, so results are deterministic and a
 degenerate combination for one weight is broken by the next.
 
+Callers that need only the spectra of many unitary matrices (the cover's
+margins) solve a whole (T, m, m) stack at once with the same gates, and
+hand a matrix to the one-matrix solver only when the first weight fails
+for it.
+
 Matrices are plain numpy complex arrays; operations are pure and never
 modify their inputs.  The gates are the fixed constants MEMBERSHIP_TOL,
 CLUSTER_TOL and BRANCH_MARGIN.  Residual thresholds are relative to the
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NotNormal, NotSkewHermitian
+from .errors import NoConvergence, NotInSpace, NotNormal, NotSkewHermitian
 
 TWO_PI = 2.0 * np.pi
 
@@ -144,6 +149,36 @@ def eig_normal(X) -> EigenDecomposition:
                 V, _ = np.linalg.qr(V)
             return EigenDecomposition(P=V, eigenvalues=lam)
     raise NoConvergence("no mixing weight separated the spectrum")
+
+
+def _unitary_eigvals(X) -> np.ndarray:
+    """Eigenvalues of each matrix of a (T, m, m) stack of unitary matrices.
+
+    The stacked, eigenvalues-only form of eig_normal, with its gates per
+    matrix: NotInSpace unless every matrix passes the near-unitary
+    pre-check, NotNormal as in eig_normal, then one stacked Hermitian solve
+    with the first mixing weight, Rayleigh quotients and the residual
+    check.  A matrix that fails the check takes eig_normal's eigenvalues,
+    retries included.  Returns a (T, m) array; the order within a row is
+    unspecified.
+    """
+    Xh = X.conj().swapaxes(1, 2)
+    XXh = X @ Xh
+    s = np.linalg.norm(X, axis=(1, 2))
+    if np.any(
+        np.linalg.norm(XXh - np.eye(X.shape[1]), axis=(1, 2))
+        > 100.0 * MEMBERSHIP_TOL * np.maximum(s, 1.0)
+    ):
+        raise NotInSpace("classification needs a unitary matrix")
+    if np.any(np.linalg.norm(XXh - Xh @ X, axis=(1, 2)) > 100.0 * MEMBERSHIP_TOL * s * s):
+        raise NotNormal("matrix does not commute with its conjugate transpose")
+    _, V = np.linalg.eigh((X + Xh) / 2.0 + _MIX_WEIGHTS[0] * ((X - Xh) / 2.0j))
+    XV = X @ V
+    lam = np.einsum("tij,tij->tj", V.conj(), XV)
+    residual = np.linalg.norm(XV - V * lam[:, None, :], axis=(1, 2))
+    for t in np.flatnonzero(residual > MEMBERSHIP_TOL * s):
+        lam[t] = eig_normal(X[t]).eigenvalues
+    return lam
 
 
 def exp_skew_hermitian(H) -> np.ndarray:

@@ -6,10 +6,16 @@ X in SU(2n) obeying tX = J X tJ for the structural block matrix J.
 This module provides the membership predicates, J itself, Haar sampling
 through the transitive group actions, and the quaternion-block embedding
 of the compact symplectic group.
+
+Sampling is stacked: one draw forms a (c, m, m) array of points with
+stacked QR, determinant and products, at most 2^16 complex entries per
+array, so a long run holds one chunk at a time.  It reproduces the
+one-matrix draw bit for bit.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -128,40 +134,57 @@ def is_member(kind: SpaceKind, X) -> MembershipReport:
     return MembershipReport(unitarity, determinant, symmetry, member)
 
 
-def haar_special_unitary(m: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw a Haar-uniform element of SU(m).
+#: Complex entries per array of one stacked draw.
+_CHUNK_ENTRIES = 2**16
 
-    QR of a complex Ginibre matrix with the R-diagonal phases folded into
-    Q gives Haar on U(m); dividing by an m-th root of the determinant
-    lands in SU(m).
+
+def _haar_stack(m: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw count Haar-uniform elements of SU(m) as a (count, m, m) stack.
+
+    QR of complex Ginibre matrices with the R-diagonal phases folded into
+    Q gives Haar on U(m) (Mezzadri, Notices AMS 2007); dividing by an m-th
+    root of the determinant lands in SU(m).  The draw takes the generator's
+    stream in the order of count one-matrix draws, and the stacked QR,
+    determinant and products round as the one-matrix calls do.  The root's
+    phase is one scalar np.exp per matrix: the vectorized complex exp
+    rounds differently.
     """
-    z = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2.0)
+    g = rng.standard_normal((count, 2, m, m))
+    z = (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))
-    q = q * np.exp(-1j * np.angle(np.linalg.det(q)) / m)
-    return q
+    d = np.diagonal(r, axis1=1, axis2=2)
+    q = q * (d / np.abs(d))[:, None, :]
+    phases = [np.exp(-1j * np.angle(det) / m) for det in np.linalg.det(q)]
+    return q * np.array(phases)[:, None, None]
 
 
-def sample_points(kind: SpaceKind, count: int, seed: int) -> list[SpacePoint]:
-    """Draw count points of the space, deterministically from the seed.
+def haar_special_unitary(m: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw a Haar-uniform element of SU(m), the one-matrix stacked draw."""
+    return _haar_stack(m, 1, rng)[0]
+
+
+def _member_stacks(kind: SpaceKind, count: int, seed: int) -> Iterator[np.ndarray]:
+    """The count points of sample_points as (c, m, m) stacks, one chunk at a time.
 
     AI: X = P tP and AII: X = J (P J tP) for Haar P; both formulas push the
     Haar measure through the transitive action, so every output passes
-    is_member.
+    is_member.  A chunk holds max(1, 2^16 // m^2) matrices.
     """
     rng = np.random.default_rng(seed)
     m = kind.ambient_size
-    out = []
-    for _ in range(count):
-        P = haar_special_unitary(m, rng)
+    chunk = max(1, _CHUNK_ENTRIES // m**2)
+    for start in range(0, count, chunk):
+        P = _haar_stack(m, min(chunk, count - start), rng)
         if kind.family is Family.AI:
-            X = P @ P.T
+            yield P @ P.swapaxes(1, 2)
         else:
             J = structural_J(kind.n)
-            X = J @ (P @ J @ P.T)
-        out.append(SpacePoint(kind, X))
-    return out
+            yield J @ (P @ J @ P.swapaxes(1, 2))
+
+
+def sample_points(kind: SpaceKind, count: int, seed: int) -> list[SpacePoint]:
+    """Draw count points of the space, deterministically from the seed."""
+    return [SpacePoint(kind, X) for stack in _member_stacks(kind, count, seed) for X in stack]
 
 
 def sample(kind: SpaceKind, seed: int) -> SpacePoint:

@@ -1,12 +1,17 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
 import json
+import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lscat.cli import run
+from lscat.homotopy import contract
+from lscat.spaces import point_from_json
 
 GOLDEN = Path(__file__).parent / "data" / "table.csv"
 
@@ -197,6 +202,10 @@ def test_usage_errors_exit_2(capsys):
         ["contract", "--input", "missing.ndjson", "--alpha=-inf"],
         ["contract", "--input", "missing.ndjson", "--alpha", "-inf"],
         ["contract", "--input", "missing.ndjson", "--alpha", "NaN"],
+        # matrix sides above 4096
+        ["sample", "--space", "ai", "--n", "4097", "--seed", "1"],
+        ["sample", "--space", "aii", "--n", "2049", "--seed", "1"],
+        ["cover", "--space", "ai", "--n", "100000", "--trials", "1", "--seed", "1"],
     ):
         code, out, _ = invoke(capsys, argv)
         assert code == 2 and out == ""
@@ -245,3 +254,48 @@ def test_input_records_are_streamed(capsys, tmp_path):
     code, out, err = invoke(capsys, ["check", "--input", str(path)])
     assert code == 1 and "error:" in err
     assert len(out.splitlines()) == 1 and json.loads(out)["member"] is True
+
+
+def test_contract_streams_the_path_list(capsys, tmp_path):
+    path, out = sample_to_file(
+        capsys, tmp_path, ["--space", "aii", "--n", "2", "--count", "2", "--seed", "3"]
+    )
+    code, streamed, _ = invoke(capsys, ["contract", "--input", str(path), "--alpha", "0.3",
+                                        "--steps", "5"])
+    assert code == 0
+    lines = []
+    for line in out.splitlines():
+        samples = contract(point_from_json(json.loads(line)), 0.3, steps=5).samples
+        lines.append(json.dumps([
+            {
+                "s": s.s,
+                "matrix": {"n": 4, "entries": [[z.real, z.imag] for z in s.point.matrix.ravel()]},
+                "residuals": {
+                    "unitarity": s.residuals.unitarity,
+                    "determinant": s.residuals.determinant,
+                    "symmetry": s.residuals.symmetry,
+                    "member": s.residuals.member,
+                },
+            }
+            for s in samples
+        ]))
+    assert streamed == "\n".join(lines) + "\n"
+
+
+def test_contract_memory_is_flat_in_steps(tmp_path, capsys):
+    # each sample is written as it is formed: ten times the steps must not
+    # double the traced peak, where holding every sample grows it about 6x
+    path, _ = sample_to_file(
+        capsys, tmp_path, ["--space", "ai", "--n", "8", "--count", "1", "--seed", "2"]
+    )
+    peaks = []
+    for steps in ("100", "1000"):
+        tracemalloc.start()
+        try:
+            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+                assert run(["contract", "--input", str(path), "--alpha-from-cover",
+                            "--steps", steps]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2 * peaks[0]

@@ -1,5 +1,7 @@
 """Tests for the eigenvalue-avoidance cover, classification, and audits."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -154,3 +156,35 @@ def test_cover_audit_one_point_space():
     report = cover_audit(SpaceKind.ai(1), trials=50, seed=4)
     assert report.covered_fraction == 1.0
     assert report.occupancy == (50,)
+
+
+@pytest.mark.parametrize(
+    "kind, trials",
+    # 300 trials at side 16 cross the 256-matrix chunk of the stacked audit
+    [(SpaceKind.ai(16), 300), (SpaceKind.aii(8), 300), (SpaceKind.ai(1), 50),
+     (SpaceKind.aii(2), 50)],
+)
+def test_cover_audit_equals_classify_loop(kind, trials):
+    config = default_cover(kind)
+    classes = [classify(config, p) for p in sample_points(kind, trials, seed=4)]
+    report = cover_audit(kind, trials, seed=4)
+    assert report.covered_fraction == sum(any(c.memberships) for c in classes) / trials
+    assert report.occupancy == tuple(
+        sum(c.memberships[r] for c in classes) for r in range(kind.n)
+    )
+    assert report.min_witness_margin == min(c.margins[c.witness] for c in classes)
+
+
+def test_cover_audit_memory_is_flat():
+    # the audit holds one chunk of at most 4096 samples at side 4, not every
+    # sample: ten times the trials at most adds the rest of that chunk
+    # (about 2x the peak), where holding every sample costs 5x
+    peaks = []
+    for trials in (2000, 20000):
+        tracemalloc.start()
+        try:
+            cover_audit(SpaceKind.ai(4), trials, seed=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 3 * peaks[0]

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from lscat.errors import NotNormal, NotSkewHermitian
+from lscat import linalg_core
+from lscat.errors import NotInSpace, NotNormal, NotSkewHermitian
 from lscat.linalg_core import (
+    _MIX_WEIGHTS,
     BRANCH_MARGIN,
     CLUSTER_TOL,
     MEMBERSHIP_TOL,
+    _unitary_eigvals,
     angular_distance,
     cluster_angles,
     eig_normal,
@@ -75,6 +78,43 @@ def test_eig_normal_skew_hermitian_input():
 def test_eig_normal_rejects_nonnormal():
     with pytest.raises(NotNormal):
         eig_normal(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+def test_unitary_eigvals_falls_back_on_near_collision(monkeypatch):
+    # H1 + mu H2 maps e^{i theta} to sqrt(1 + mu^2) cos(theta - arctan mu), so
+    # the angles arctan mu +- 0.7 nearly meet in the first weight's spectrum
+    # and its eigenvectors mix them; only that matrix may go to eig_normal
+    rng = np.random.default_rng(29)
+    m = 8
+    phi = np.arctan(_MIX_WEIGHTS[0])
+    theta = np.concatenate([[phi + 0.7, phi - 0.7 - 1e-10], rng.uniform(-np.pi, np.pi, m - 2)])
+    O, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    collide = (O * np.exp(1j * theta)) @ O.T
+    stack = np.array([random_unitary(m, rng), random_unitary(m, rng), collide,
+                      random_unitary(m, rng)])
+    calls = []
+
+    def spy(X):
+        calls.append(X)
+        return eig_normal(X)
+
+    monkeypatch.setattr(linalg_core, "eig_normal", spy)
+    lam = _unitary_eigvals(stack)
+    assert len(calls) == 1 and np.array_equal(calls[0], collide)
+    assert np.array_equal(lam[2], eig_normal(collide).eigenvalues)
+    assert np.allclose(np.sort(np.angle(lam[2])), np.sort(np.angle(np.exp(1j * theta))),
+                       atol=1e-12)
+    for X, row in zip(stack, lam):
+        assert np.allclose(np.sort(np.angle(row)),
+                           np.sort(np.angle(eig_normal(X).eigenvalues)), atol=1e-12)
+
+
+def test_unitary_eigvals_gates_every_matrix():
+    stack = np.array([np.eye(3), 2.0 * np.eye(3)], dtype=complex)
+    with pytest.raises(NotInSpace):
+        _unitary_eigvals(stack)
+    lam = _unitary_eigvals(np.array([np.eye(2), np.diag([1j, -1j])], dtype=complex))
+    assert np.array_equal(lam[0], [1, 1]) and np.array_equal(np.sort_complex(lam[1]), [-1j, 1j])
 
 
 def test_exp_skew_zero_and_period():

@@ -106,6 +106,48 @@ def test_haar_special_unitary_lands_in_su():
         assert abs(np.linalg.det(P) - 1) < 1e-12
 
 
+def _one_matrix_points(kind, count, seed):
+    """Reference sampler: one Ginibre draw, QR and phase fix per point."""
+    rng = np.random.default_rng(seed)
+    m = kind.ambient_size
+    out = []
+    for _ in range(count):
+        z = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2.0)
+        q, r = np.linalg.qr(z)
+        d = np.diagonal(r)
+        q = q * (d / np.abs(d))
+        P = q * np.exp(-1j * np.angle(np.linalg.det(q)) / m)
+        if kind.family is Family.AI:
+            out.append(P @ P.T)
+        else:
+            J = structural_J(kind.n)
+            out.append(J @ (P @ J @ P.T))
+    return out
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_sample_points_match_one_matrix_draws(family):
+    # the stacked draw keeps every byte of the one-matrix draw, signed zeros included
+    per_n = 1 if family is Family.AI else 2
+    cases = [(SpaceKind(family, n), 3) for n in range(1, 40 // per_n + 1)]
+    # 20 points at side 64 cross the 16-matrix chunk of one stacked draw
+    cases.append((SpaceKind(family, 64 // per_n), 20))
+    for kind, count in cases:
+        for seed in (0, 1):
+            got = [p.matrix.tobytes() for p in sample_points(kind, count, seed)]
+            assert got == [X.tobytes() for X in _one_matrix_points(kind, count, seed)]
+
+
+def test_haar_special_unitary_is_one_matrix_draw():
+    for m in (1, 2, 7, 16):
+        rng = np.random.default_rng(m)
+        z = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2.0)
+        q, r = np.linalg.qr(z)
+        q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+        want = q * np.exp(-1j * np.angle(np.linalg.det(q)) / m)
+        assert haar_special_unitary(m, np.random.default_rng(m)).tobytes() == want.tobytes()
+
+
 def test_eigenvector_twist_pairing_on_samples():
     # X v = lam v implies X (J conj v) = lam (J conj v) for AII members
     for seed in range(5):
