@@ -3,11 +3,18 @@
 JSON records go to stdout (one document per line), human-readable summaries
 go to stderr.  Exit codes: 0 success, 1 domain errors, 2 usage errors.
 All randomness comes from --seed; there is no ambient entropy.
+
+The commands live in one table, _COMMANDS.  A run builds the subparser of
+the command named by its first argument and no other, and hands it to the
+command to report usage errors; any other first argument (none, -h, a typo)
+gets every subparser.  `lscat sample` prints each stacked chunk of points
+as it is drawn, so its memory does not grow with --count.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections.abc import Iterator
@@ -24,10 +31,10 @@ from .spaces import (
     Family,
     SpaceKind,
     SpacePoint,
+    _member_stacks,
     is_member,
     point_from_json,
     point_to_json,
-    sample_points,
 )
 
 
@@ -153,11 +160,12 @@ def _resolve_alpha(parser, args, point: SpacePoint) -> float:
 
 
 def _cmd_sample(parser, args) -> int:
+    """Print each chunk of points as it is drawn, so memory does not grow with --count."""
     kind = _kind_from_flags(parser, args)
-    points = sample_points(kind, args.count, args.seed)
-    for point in points:
-        _emit(point_to_json(point))
-    _note(f"sampled {len(points)} point(s) of {kind.family.value}({kind.n})")
+    for stack in _member_stacks(kind, args.count, args.seed):
+        for X in stack:
+            _emit(point_to_json(SpacePoint(kind, X)))
+    _note(f"sampled {args.count} point(s) of {kind.family.value}({kind.n})")
     return 0
 
 
@@ -269,7 +277,70 @@ def _cmd_describe(parser, args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _add_space(p) -> None:
+    p.add_argument("--space", choices=["ai", "aii"], help="family of bare-matrix input")
+    p.add_argument("--n", type=_positive_int,
+                   help=f"family parameter n; the matrix side (n for ai, 2n for aii) "
+                   f"is at most {_MAX_SIDE}")
+
+
+def _add_common(p, input_default="-") -> None:
+    _add_space(p)
+    p.add_argument("--input", default=input_default,
+                   help="path to NDJSON records, '-' for stdin")
+
+
+def _log_args(p) -> None:
+    _add_common(p)
+    p.add_argument("--alpha", type=_finite_float, default=None, help="branch angle in radians")
+    p.add_argument("--alpha-from-cover", action="store_true")
+
+
+def _sample_args(p) -> None:
+    _add_space(p)
+    p.add_argument("--count", type=_positive_int, default=1)
+    p.add_argument("--seed", type=int, required=True)
+
+
+def _contract_args(p) -> None:
+    _log_args(p)
+    p.add_argument("--steps", type=_positive_int, default=16)
+
+
+def _cover_args(p) -> None:
+    _add_common(p, input_default=None)
+    p.add_argument("--trials", type=_positive_int, default=None,
+                   help="run an audit with this many samples")
+    p.add_argument("--seed", type=int, default=None)
+
+
+def _table_args(p) -> None:
+    p.add_argument("--format", choices=["csv", "md", "json"], default="md")
+
+
+def _describe_args(p) -> None:
+    p.add_argument("--family", required=True,
+                   choices=["ai", "aii", "aiii", "bdi", "bdii", "diii", "ci", "cii"])
+    p.add_argument("--params", type=_int_tuple, required=True,
+                   help="comma-separated integers, e.g. '2,1'")
+
+
+#: Each command's help line, the function adding its arguments, and its handler,
+#: in the order `lscat --help` lists them.
+_COMMANDS = {
+    "sample": ("draw seeded points of a space", _sample_args, _cmd_sample),
+    "check": ("membership report for each input record", _add_common, _cmd_check),
+    "factor": ("congruence factorization of each input record", _add_common, _cmd_factor),
+    "log": ("branch-restricted logarithm of each input record", _log_args, _cmd_log),
+    "contract": ("contracting path of each input record", _contract_args, _cmd_contract),
+    "cover": ("classify records or audit the default cover", _cover_args, _cmd_cover),
+    "table": ("emit the eight-family classification table", _table_args, _cmd_table),
+    "describe": ("one concrete table row as JSON", _describe_args, _cmd_describe),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The lscat parser with the subparser of command only, or of every command if None."""
     parser = argparse.ArgumentParser(
         prog="lscat",
         description="Sample, check, factor, contract, and classify points of the "
@@ -277,76 +348,27 @@ def _build_parser() -> argparse.ArgumentParser:
         "category table of the classical families.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_space(p):
-        p.add_argument("--space", choices=["ai", "aii"], help="family of bare-matrix input")
-        p.add_argument("--n", type=_positive_int,
-                       help=f"family parameter n; the matrix side (n for ai, 2n for aii) "
-                       f"is at most {_MAX_SIDE}")
-
-    def add_common(p, input_default="-"):
-        add_space(p)
-        p.add_argument("--input", default=input_default,
-                       help="path to NDJSON records, '-' for stdin")
-
-    p = sub.add_parser("sample", help="draw seeded points of a space")
-    add_space(p)
-    p.add_argument("--count", type=_positive_int, default=1)
-    p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(func=_cmd_sample)
-
-    p = sub.add_parser("check", help="membership report for each input record")
-    add_common(p)
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("factor", help="congruence factorization of each input record")
-    add_common(p)
-    p.set_defaults(func=_cmd_factor)
-
-    p = sub.add_parser("log", help="branch-restricted logarithm of each input record")
-    add_common(p)
-    p.add_argument("--alpha", type=_finite_float, default=None, help="branch angle in radians")
-    p.add_argument("--alpha-from-cover", action="store_true")
-    p.set_defaults(func=_cmd_log)
-
-    p = sub.add_parser("contract", help="contracting path of each input record")
-    add_common(p)
-    p.add_argument("--alpha", type=_finite_float, default=None, help="branch angle in radians")
-    p.add_argument("--alpha-from-cover", action="store_true")
-    p.add_argument("--steps", type=_positive_int, default=16)
-    p.set_defaults(func=_cmd_contract)
-
-    p = sub.add_parser("cover", help="classify records or audit the default cover")
-    add_common(p, input_default=None)
-    p.add_argument("--trials", type=_positive_int, default=None,
-                   help="run an audit with this many samples")
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=_cmd_cover)
-
-    p = sub.add_parser("table", help="emit the eight-family classification table")
-    p.add_argument("--format", choices=["csv", "md", "json"], default="md")
-    p.set_defaults(func=_cmd_table)
-
-    p = sub.add_parser("describe", help="one concrete table row as JSON")
-    p.add_argument("--family", required=True,
-                   choices=["ai", "aii", "aiii", "bdi", "bdii", "diii", "ci", "cii"])
-    p.add_argument("--params", type=_int_tuple, required=True,
-                   help="comma-separated integers, e.g. '2,1'")
-    p.set_defaults(func=_cmd_describe)
-
+    for name, (help_text, add_arguments, handler) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            add_arguments(p)
+            p.set_defaults(func=functools.partial(handler, p))
     return parser
 
 
 def run(argv: list[str]) -> int:
     """Dispatch one command; returns the process exit code."""
-    parser = _build_parser()
+    argv = _attach_alpha(argv)
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
-        args = parser.parse_args(_attach_alpha(argv))
+        args, extra = parser.parse_known_args(argv)
+        if extra:  # parse_args names every command in the usage line of this error
+            _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(parser, args)
-    except SystemExit as exc:  # parser.error inside a command
+        return args.func(args)
+    except SystemExit as exc:  # the subparser's error() inside a command
         return int(exc.code or 0)
     except (LscatError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         _note(f"error: {exc}")

@@ -197,7 +197,7 @@ def exp_skew_hermitian(H) -> np.ndarray:
 def matrix_to_json(m) -> dict:
     """Serialize a square complex matrix as {"n":..., "entries":[[re,im],...]}."""
     m = as_matrix(m)
-    entries = [[float(z.real), float(z.imag)] for z in m.ravel()]
+    entries = np.ascontiguousarray(m).view(float).reshape(-1, 2).tolist()
     return {"n": int(m.shape[0]), "entries": entries}
 
 

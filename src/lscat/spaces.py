@@ -128,8 +128,8 @@ def is_member(kind: SpaceKind, X) -> MembershipReport:
     if kind.family is Family.AI:
         symmetry = frobenius(X.T - X)
     else:
-        J = structural_J(kind.n)
-        symmetry = frobenius(X.T - J @ X @ J.T)
+        n = kind.n  # J X tJ is the signed block swap [[X22, -X21], [-X12, X11]]
+        symmetry = frobenius(X.T - np.block([[X[n:, n:], -X[n:, :n]], [-X[:n, n:], X[:n, :n]]]))
     member = max(unitarity, determinant, symmetry) <= MEMBERSHIP_TOL
     return MembershipReport(unitarity, determinant, symmetry, member)
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import contextlib
 import json
 import os
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lscat import cli
 from lscat.cli import run
 from lscat.homotopy import contract
 from lscat.spaces import point_from_json
@@ -211,6 +213,50 @@ def test_usage_errors_exit_2(capsys):
         assert code == 2 and out == ""
 
 
+def test_usage_errors_inside_a_command_print_its_usage(capsys):
+    for argv, message in (
+        (["sample", "--space", "aii", "--n", "2049", "--seed", "1"],
+         "lscat sample: error: matrix side 4098 is above the ceiling 4096"),
+        (["cover", "--space", "ai", "--n", "2"],
+         "lscat cover: error: cover needs --input (classify) or --trials (audit)"),
+    ):
+        code, out, err = invoke(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"usage: lscat {argv[0]} [-h] ")
+        assert err.endswith(message + "\n")
+
+
+def test_run_builds_only_the_parser_it_runs(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    code, out, _ = invoke(capsys, ["describe", "--family", "ai", "--params", "3"])
+    assert code == 0 and json.loads(out)["cat_exact"] == 2
+    assert len(built) <= 2
+
+
+def test_help_lists_every_command(capsys):
+    code, out, _ = invoke(capsys, ["--help"])
+    assert code == 0
+    choices = "{" + ",".join(cli._COMMANDS) + "}"
+    assert out.startswith(f"usage: lscat [-h] {choices} ...\n")
+    assert len(cli._COMMANDS) == 8
+    for name, (help_text, _, _) in cli._COMMANDS.items():
+        assert f"    {name}" in out and help_text in out
+        code, out_cmd, _ = invoke(capsys, [name, "--help"])
+        assert code == 0 and out_cmd.startswith(f"usage: lscat {name} [-h]")
+    # tokens a command leaves unparsed are reported against the full parser
+    code, _, err = invoke(capsys, ["table", "--bogus"])
+    assert code == 2
+    assert err.startswith(f"usage: lscat [-h] {choices} ...\n")
+    assert err.endswith("lscat: error: unrecognized arguments: --bogus\n")
+
+
 def test_domain_errors_exit_1(capsys, tmp_path):
     bad = tmp_path / "bad.ndjson"
     doc = {
@@ -299,3 +345,19 @@ def test_contract_memory_is_flat_in_steps(tmp_path, capsys):
         finally:
             tracemalloc.stop()
     assert peaks[1] < 2 * peaks[0]
+
+
+def test_sample_memory_is_flat_in_count():
+    # points are printed chunk by chunk as they are drawn: ten times the count
+    # must stay under 3x the traced peak, where holding every point grows it ~3.7x
+    peaks = []
+    for count in ("2000", "20000"):
+        tracemalloc.start()
+        try:
+            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+                assert run(["sample", "--space", "ai", "--n", "4", "--count", count,
+                            "--seed", "1"]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 3 * peaks[0]

@@ -1,5 +1,7 @@
 """Tests for the eigen kernels, the skew exponential, and matrix JSON."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -167,6 +169,18 @@ def test_matrix_json_roundtrip():
     assert doc["n"] == 3 and len(doc["entries"]) == 9
     back = matrix_from_json(doc)
     assert np.array_equal(back, m)
+
+
+def test_matrix_to_json_bytes_match_per_entry_reference():
+    tiny = np.finfo(float).smallest_subnormal
+    m = np.array([[-0.0 + 0.0j, complex(tiny, -tiny), 1e300 - 1e-300j],
+                  [complex(-0.0, -0.0), 5e-324 + 2.5e-310j, -1e300 + 0.1j],
+                  [1.0, 1j, complex(np.pi, -np.e)]])
+    tall = np.zeros((6, 3), dtype=complex)
+    tall[::2] = m
+    for matrix in (m, m[::-1], tall[::2]):  # C-ordered, row-reversed and row-strided
+        reference = [[float(z.real), float(z.imag)] for z in matrix.ravel()]
+        assert json.dumps(matrix_to_json(matrix)) == json.dumps({"n": 3, "entries": reference})
 
 
 def test_matrix_json_rejects_bad_shape():

@@ -54,6 +54,19 @@ def test_is_member_J_is_not_aii_member():
     assert rep.unitarity < 1e-15 and rep.determinant < 1e-12
 
 
+def test_is_member_aii_symmetry_equals_J_conjugation_reference():
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 3, 8, 16):
+        kind = SpaceKind.aii(n)
+        J = structural_J(n)
+        for pt in sample_points(kind, 3, seed=n):
+            noise = rng.standard_normal((2 * n, 2 * n)) + 1j * rng.standard_normal((2 * n, 2 * n))
+            for X in (pt.matrix, pt.matrix + 1e-6 * noise, noise):
+                rep = is_member(kind, X)
+                assert rep.symmetry == np.linalg.norm(X.T - J @ X @ J.T)
+                assert rep.member == (X is pt.matrix)
+
+
 def test_is_member_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         is_member(SpaceKind.ai(3), np.eye(4))
