@@ -7,8 +7,7 @@ All randomness comes from --seed; there is no ambient entropy.
 The commands live in one table, _COMMANDS.  A run builds the subparser of
 the command named by its first argument and no other, and hands it to the
 command to report usage errors; any other first argument (none, -h, a typo)
-gets every subparser.  `lscat sample` prints each stacked chunk of points
-as it is drawn, so its memory does not grow with --count.
+gets every subparser.
 """
 
 from __future__ import annotations
@@ -347,7 +346,11 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
         "symmetric (AI) and twisted (AII) special-unitary families; emit the "
         "category table of the classical families.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # With one subparser, this metavar keeps every command in the usage line of
+    # an unrecognized-arguments error.  With all of them, argparse's default is
+    # the same string, and leaving it unset keeps errors naming "command".
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, (help_text, add_arguments, handler) in _COMMANDS.items():
         if command in (None, name):
             p = sub.add_parser(name, help=help_text)
@@ -361,9 +364,7 @@ def run(argv: list[str]) -> int:
     argv = _attach_alpha(argv)
     parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
-        args, extra = parser.parse_known_args(argv)
-        if extra:  # parse_args names every command in the usage line of this error
-            _build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

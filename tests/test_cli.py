@@ -250,11 +250,14 @@ def test_help_lists_every_command(capsys):
         assert f"    {name}" in out and help_text in out
         code, out_cmd, _ = invoke(capsys, [name, "--help"])
         assert code == 0 and out_cmd.startswith(f"usage: lscat {name} [-h]")
-    # tokens a command leaves unparsed are reported against the full parser
+    # tokens a command leaves unparsed print the usage line of every command
     code, _, err = invoke(capsys, ["table", "--bogus"])
     assert code == 2
     assert err.startswith(f"usage: lscat [-h] {choices} ...\n")
     assert err.endswith("lscat: error: unrecognized arguments: --bogus\n")
+    # errors about the command itself name the argument "command"
+    assert invoke(capsys, [])[2].endswith("required: command\n")
+    assert "argument command: invalid choice: 'frobnicate'" in invoke(capsys, ["frobnicate"])[2]
 
 
 def test_domain_errors_exit_1(capsys, tmp_path):
