@@ -4,10 +4,12 @@ JSON records go to stdout (one document per line), human-readable summaries
 go to stderr.  Exit codes: 0 success, 1 domain errors, 2 usage errors.
 All randomness comes from --seed; there is no ambient entropy.
 
-The commands live in one table, _COMMANDS.  A run builds the subparser of
-the command named by its first argument and no other, and hands it to the
-command to report usage errors; any other first argument (none, -h, a typo)
-gets every subparser.
+The commands live in one table, _COMMANDS.  A run whose first argument
+names a command builds that command's parser alone, parses the rest with
+it, and hands it to the command to report usage errors.  The full parser,
+with a subparser per command, is built only when the first argument names
+no command (none, -h, a typo), and to report arguments the command leaves
+unparsed with the usage line of every command.
 """
 
 from __future__ import annotations
@@ -338,38 +340,44 @@ _COMMANDS = {
 }
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The lscat parser with the subparser of command only, or of every command if None."""
+def _command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Add command name's arguments to parser and bind its handler to parser."""
+    _, add_arguments, handler = _COMMANDS[name]
+    add_arguments(parser)
+    parser.set_defaults(func=functools.partial(handler, parser))
+    return parser
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The lscat parser with the subparser of every command."""
     parser = argparse.ArgumentParser(
         prog="lscat",
         description="Sample, check, factor, contract, and classify points of the "
         "symmetric (AI) and twisted (AII) special-unitary families; emit the "
         "category table of the classical families.",
     )
-    # With one subparser, this metavar keeps every command in the usage line of
-    # an unrecognized-arguments error.  With all of them, argparse's default is
-    # the same string, and leaving it unset keeps errors naming "command".
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, (help_text, add_arguments, handler) in _COMMANDS.items():
-        if command in (None, name):
-            p = sub.add_parser(name, help=help_text)
-            add_arguments(p)
-            p.set_defaults(func=functools.partial(handler, p))
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _command(sub.add_parser(name, help=help_text), name)
     return parser
 
 
 def run(argv: list[str]) -> int:
     """Dispatch one command; returns the process exit code."""
     argv = _attach_alpha(argv)
-    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in _COMMANDS:
+            parser = _command(argparse.ArgumentParser(prog=f"lscat {argv[0]}"), argv[0])
+            args, extra = parser.parse_known_args(argv[1:])
+            if extra:  # reported by the full parser, as its subparser would
+                _build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
+        else:
+            args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except SystemExit as exc:  # the subparser's error() inside a command
+    except SystemExit as exc:  # the command parser's error() inside a command
         return int(exc.code or 0)
     except (LscatError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         _note(f"error: {exc}")

@@ -72,7 +72,7 @@ def as_matrix(x) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] < 1:
         raise ValueError("matrix side must be at least 1")
-    if not np.all(np.isfinite(a.view(float))):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 

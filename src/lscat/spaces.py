@@ -8,8 +8,8 @@ through the transitive group actions, and the quaternion-block embedding
 of the compact symplectic group.
 
 Sampling is stacked: one draw forms a (c, m, m) array of points with
-stacked QR, determinant and products, at most 2^16 complex entries per
-array, so a long run holds one chunk at a time.  It reproduces the
+stacked QR, determinant, phase and products, at most 2^16 complex entries
+per array, so a long run holds one chunk at a time.  It reproduces the
 one-matrix draw bit for bit.
 """
 
@@ -146,16 +146,17 @@ def _haar_stack(m: int, count: int, rng: np.random.Generator) -> np.ndarray:
     root of the determinant lands in SU(m).  The draw takes the generator's
     stream in the order of count one-matrix draws, and the stacked QR,
     determinant and products round as the one-matrix calls do.  The root's
-    phase is one scalar np.exp per matrix: the vectorized complex exp
-    rounds differently.
+    phase divides the real angle by m before forming the complex number:
+    numpy divides a complex scalar by m but multiplies a complex array by
+    1/m, and only the real division rounds as the scalar path does.
     """
     g = rng.standard_normal((count, 2, m, m))
     z = (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=1, axis2=2)
     q = q * (d / np.abs(d))[:, None, :]
-    phases = [np.exp(-1j * np.angle(det) / m) for det in np.linalg.det(q)]
-    return q * np.array(phases)[:, None, None]
+    phases = np.exp(-1j * (np.angle(np.linalg.det(q)) / m))
+    return q * phases[:, None, None]
 
 
 def haar_special_unitary(m: int, rng: np.random.Generator) -> np.ndarray:
@@ -168,18 +169,20 @@ def _member_stacks(kind: SpaceKind, count: int, seed: int) -> Iterator[np.ndarra
 
     AI: X = P tP and AII: X = J (P J tP) for Haar P; both formulas push the
     Haar measure through the transitive action, so every output passes
-    is_member.  A chunk holds max(1, 2^16 // m^2) matrices.
+    is_member.  A chunk holds max(1, 2^16 // m^2) matrices.  J enters as
+    signed block swaps, P J = [P2, -P1] and J W = [-W2; W1]; 0.0 - and
+    + 0.0 keep the signed zeros of the dense products.
     """
     rng = np.random.default_rng(seed)
-    m = kind.ambient_size
+    m, n = kind.ambient_size, kind.n
     chunk = max(1, _CHUNK_ENTRIES // m**2)
     for start in range(0, count, chunk):
         P = _haar_stack(m, min(chunk, count - start), rng)
         if kind.family is Family.AI:
             yield P @ P.swapaxes(1, 2)
         else:
-            J = structural_J(kind.n)
-            yield J @ (P @ J @ P.swapaxes(1, 2))
+            W = np.concatenate([P[..., n:], -P[..., :n]], axis=2) @ P.swapaxes(1, 2)
+            yield np.concatenate([0.0 - W[:, n:], W[:, :n] + 0.0], axis=1)
 
 
 def sample_points(kind: SpaceKind, count: int, seed: int) -> list[SpacePoint]:

@@ -187,12 +187,17 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
     code, _, _ = invoke(capsys, ["cover", "--space", "ai", "--n", "2"])  # no mode
     assert code == 2
+    code, _, _ = invoke(capsys, ["cover", "--spa", "ai", "--n", "2"])  # abbreviated
+    assert code == 2
+    code, _, _ = invoke(capsys, ["cover", "--bogus"])
+    assert code == 2
     # counts below 1 are rejected by the parser, before any input is read
     for argv in (
         ["sample", "--space", "ai", "--n", "3", "--seed", "1", "--count", "-2"],
         ["sample", "--space", "ai", "--n", "3", "--seed", "1", "--count", "0"],
         ["contract", "--input", "missing.ndjson", "--alpha", "1", "--steps", "0"],
         ["cover", "--space", "ai", "--n", "3", "--seed", "1", "--trials", "0"],
+        ["cover", "--spa", "ai", "--n", "3", "--se", "1", "--tri", "0"],
         ["sample", "--space", "ai", "--n", "3", "--seed", "1", "--tol", "1e-3"],
         ["check", "--input", "missing.ndjson", "--tol", "1e-3"],
         ["sample", "--space", "ai", "--n", "0", "--seed", "1"],
@@ -235,9 +240,15 @@ def test_run_builds_only_the_parser_it_runs(capsys, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    code, out, _ = invoke(capsys, ["describe", "--family", "ai", "--params", "3"])
-    assert code == 0 and json.loads(out)["cat_exact"] == 2
-    assert len(built) <= 2
+    for argv in (
+        ["describe", "--family", "ai", "--params", "3"],
+        ["cover", "--space", "aii", "--n", "2", "--trials", "20", "--seed", "1"],
+        ["sample", "--space", "ai", "--n", "3", "--count", "2", "--seed", "1"],
+    ):
+        built.clear()
+        code, out, _ = invoke(capsys, argv)
+        assert code == 0 and out
+        assert built == [f"lscat {argv[0]}"]
 
 
 def test_help_lists_every_command(capsys):
@@ -251,10 +262,13 @@ def test_help_lists_every_command(capsys):
         code, out_cmd, _ = invoke(capsys, [name, "--help"])
         assert code == 0 and out_cmd.startswith(f"usage: lscat {name} [-h]")
     # tokens a command leaves unparsed print the usage line of every command
-    code, _, err = invoke(capsys, ["table", "--bogus"])
-    assert code == 2
-    assert err.startswith(f"usage: lscat [-h] {choices} ...\n")
-    assert err.endswith("lscat: error: unrecognized arguments: --bogus\n")
+    for name in ("table", "cover"):
+        code, _, err = invoke(capsys, [name, "--bogus"])
+        assert code == 2
+        assert err.startswith(f"usage: lscat [-h] {choices} ...\n")
+        assert err.endswith("lscat: error: unrecognized arguments: --bogus\n")
+    # a command's options take abbreviations, --help among them
+    assert invoke(capsys, ["cover", "--he"]) == invoke(capsys, ["cover", "--help"])
     # errors about the command itself name the argument "command"
     assert invoke(capsys, [])[2].endswith("required: command\n")
     assert "argument command: invalid choice: 'frobnicate'" in invoke(capsys, ["frobnicate"])[2]

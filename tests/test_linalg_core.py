@@ -15,12 +15,14 @@ from lscat.linalg_core import (
     MEMBERSHIP_TOL,
     _unitary_eigvals,
     angular_distance,
+    as_matrix,
     cluster_angles,
     eig_normal,
     exp_skew_hermitian,
     matrix_from_json,
     matrix_to_json,
 )
+from lscat.spaces import SpaceKind, is_member, sample
 
 
 def random_unitary(m, rng):
@@ -181,6 +183,19 @@ def test_matrix_to_json_bytes_match_per_entry_reference():
     for matrix in (m, m[::-1], tall[::2]):  # C-ordered, row-reversed and row-strided
         reference = [[float(z.real), float(z.imag)] for z in matrix.ravel()]
         assert json.dumps(matrix_to_json(matrix)) == json.dumps({"n": 3, "entries": reference})
+
+
+def test_as_matrix_takes_views_whose_last_axis_is_strided():
+    X = sample(SpaceKind.ai(3), seed=4).matrix
+    assert is_member(SpaceKind.ai(3), X.T).member
+    wide = np.arange(18, dtype=float).reshape(3, 6) * (1 - 2j)
+    view = wide[:, ::2]  # column-strided
+    entries = [[float(z.real), float(z.imag)] for z in view.ravel()]
+    assert matrix_to_json(view) == {"n": 3, "entries": entries}
+    for z in (complex(np.inf, 0), complex(0, -np.inf), complex(np.nan, 0)):
+        wide[1, 2] = z
+        with pytest.raises(ValueError, match="finite"):
+            as_matrix(view)
 
 
 def test_matrix_json_rejects_bad_shape():
