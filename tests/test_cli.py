@@ -240,14 +240,16 @@ def test_run_builds_only_the_parser_it_runs(capsys, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    for argv in (
-        ["describe", "--family", "ai", "--params", "3"],
-        ["cover", "--space", "aii", "--n", "2", "--trials", "20", "--seed", "1"],
-        ["sample", "--space", "ai", "--n", "3", "--count", "2", "--seed", "1"],
+    for argv, key, value in (
+        (["describe", "--family", "ai", "--params", "3"], "cat_exact", 2),
+        (["cover", "--space", "aii", "--n", "2", "--trials", "20", "--seed", "1"],
+         "trials", 20),
+        (["sample", "--space", "ai", "--n", "3", "--count", "2", "--seed", "1"],
+         "family", "AI"),
     ):
         built.clear()
         code, out, _ = invoke(capsys, argv)
-        assert code == 0 and out
+        assert code == 0 and json.loads(out.splitlines()[0])[key] == value
         assert built == [f"lscat {argv[0]}"]
 
 
