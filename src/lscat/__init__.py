@@ -34,7 +34,6 @@ from .cover import (
     multiplicity_audit,
 )
 from .factorizations import (
-    FactorizationIntermediates,
     FactorizationResult,
     factor_aii,
     factor_skew,
@@ -43,11 +42,9 @@ from .factorizations import (
 from .homotopy import (
     BranchLog,
     HomotopyPath,
-    InconsistentWinding,
     PathSample,
     branch_log,
     contract,
-    winding_of_component,
 )
 from .linalg_core import (
     EigenDecomposition,
@@ -68,7 +65,6 @@ from .spaces import (
     sample,
     sample_points,
     structural_J,
-    symplectic_embed,
 )
 
 __all__ = [
@@ -94,18 +90,15 @@ __all__ = [
     "cover_audit",
     "default_cover",
     "multiplicity_audit",
-    "FactorizationIntermediates",
     "FactorizationResult",
     "factor_aii",
     "factor_skew",
     "factor_symmetric",
     "BranchLog",
     "HomotopyPath",
-    "InconsistentWinding",
     "PathSample",
     "branch_log",
     "contract",
-    "winding_of_component",
     "EigenDecomposition",
     "eig_normal",
     "exp_skew_hermitian",
@@ -122,5 +115,4 @@ __all__ = [
     "sample",
     "sample_points",
     "structural_J",
-    "symplectic_embed",
 ]

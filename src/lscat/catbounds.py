@@ -47,15 +47,20 @@ class KahlerFlag(str, Enum):
 class GradedAlgebraSpec:
     """Exterior algebra on generators of the given positive degrees.
 
+    generators is a tuple, or a range for the arithmetic degrees of the
+    matrix families: its length and its check then cost O(1) for any n.
     coefficient_tag is metadata only ("mod2" or "integer"); the cup length
     of an exterior algebra does not depend on it.
     """
 
-    generators: tuple[int, ...]
+    generators: tuple[int, ...] | range
     coefficient_tag: str = "integer"
 
     def __post_init__(self):
-        if any(d < 1 for d in self.generators):
+        degrees = self.generators
+        if isinstance(degrees, range) and degrees:
+            degrees = (degrees[0], degrees[-1])  # a range is monotone
+        if any(d < 1 for d in degrees):
             raise ValueError("generator degrees must be positive")
         if self.coefficient_tag not in ("mod2", "integer"):
             raise ValueError("coefficient_tag must be 'mod2' or 'integer'")
@@ -116,14 +121,14 @@ def ai_cohomology_generators(n: int) -> GradedAlgebraSpec:
     """Mod-2 cohomology of the symmetric family: exterior on degrees 2..n."""
     if n < 1:
         raise InvalidParams("n must be positive")
-    return GradedAlgebraSpec(tuple(range(2, n + 1)), coefficient_tag="mod2")
+    return GradedAlgebraSpec(range(2, n + 1), coefficient_tag="mod2")
 
 
 def aii_cohomology_generators(n: int) -> GradedAlgebraSpec:
     """Integral cohomology of the twisted family: exterior on degrees 5, 9, ..., 4n-3."""
     if n < 1:
         raise InvalidParams("n must be positive")
-    return GradedAlgebraSpec(tuple(4 * k + 1 for k in range(1, n)), coefficient_tag="integer")
+    return GradedAlgebraSpec(range(5, 4 * n - 2, 4), coefficient_tag="integer")
 
 
 def _require(condition: bool, message: str) -> None:

@@ -12,7 +12,8 @@ Classification needs only the eigenvalue angles of a point.  One function
 of the angles gives the margins of a whole stack of spectra, and the audit
 draws, solves and classifies its samples as (c, m, m) stacks of at most
 2^16 complex entries per array, so its memory does not grow with the
-number of trials.
+number of trials.  The spectra come from the same solver loop as
+eig_normal's, run on the whole stack.
 """
 
 from __future__ import annotations

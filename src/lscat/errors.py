@@ -34,10 +34,6 @@ class NotInSpace(LscatError):
     """Matrix fails the membership laws of the requested space."""
 
 
-class NotSymplectic(LscatError):
-    """Embedded quaternion blocks do not preserve the form matrix J."""
-
-
 class OddPairingFailure(LscatError):
     """Conjugation pairing of eigenvectors could not be completed."""
 

@@ -54,25 +54,11 @@ from .spaces import Family, SpaceKind, SpacePoint, is_member, structural_J
 
 
 @dataclass(frozen=True)
-class FactorizationIntermediates:
-    """Diagnostic record: basis B, diagonal factor C, chosen roots.
-
-    Skew case: B is a real rotation and P = B C.  Symmetric case: B is the
-    unitary eigenbasis of X and P = B C B*, up to the sign of one column.
-    """
-
-    B: np.ndarray
-    C: np.ndarray
-    roots: np.ndarray
-
-
-@dataclass(frozen=True)
 class FactorizationResult:
     """Special unitary factor P and the Frobenius reconstruction residual."""
 
     P: np.ndarray
     residual: float
-    intermediates: FactorizationIntermediates | None = None
 
 
 def _widest_gap_cut(angles, period: float) -> float:
@@ -110,11 +96,7 @@ def factor_symmetric(X) -> FactorizationResult:
     residual = frobenius(X - P @ P.T)
     if residual > 10.0 * MEMBERSHIP_TOL * max(frobenius(X), 1.0):
         raise NoConvergence(f"symmetric factorization residual {residual:.3e}")
-    return FactorizationResult(
-        P=P,
-        residual=residual,
-        intermediates=FactorizationIntermediates(B=dec.P, C=np.diag(roots), roots=roots),
-    )
+    return FactorizationResult(P=P, residual=residual)
 
 
 def _conjugation_pairs(X, dec):
@@ -187,11 +169,7 @@ def factor_skew(X) -> FactorizationResult:
     residual = frobenius(X - P @ J @ P.T)
     if residual > 10.0 * MEMBERSHIP_TOL * max(frobenius(X), 1.0):
         raise NoConvergence(f"skew factorization residual {residual:.3e}")
-    return FactorizationResult(
-        P=P,
-        residual=residual,
-        intermediates=FactorizationIntermediates(B=B, C=C, roots=roots),
-    )
+    return FactorizationResult(P=P, residual=residual)
 
 
 def factor_aii(point: SpacePoint) -> FactorizationResult:

@@ -65,13 +65,6 @@ class HomotopyPath:
     samples: tuple[PathSample, ...]
 
 
-@dataclass(frozen=True)
-class InconsistentWinding:
-    """Distinct winding indices observed across the supplied points."""
-
-    values: tuple[int, ...]
-
-
 def _lift(X, alpha: float) -> tuple[np.ndarray, np.ndarray, float, float]:
     """(P, theta, alpha mod 2 pi, margin) of X = P diag(e^{i theta}) P*."""
     if not np.isfinite(alpha):
@@ -153,18 +146,3 @@ def contract(point: SpacePoint, alpha: float, steps: int = 16) -> HomotopyPath:
         kind=point.kind, source=point, target_scalar=target_scalar, samples=tuple(samples)
     )
 
-
-def winding_of_component(points, alpha: float) -> int | InconsistentWinding:
-    """Common winding index of the points at this branch, if they agree.
-
-    Returns the shared integer, or InconsistentWinding listing the distinct
-    values; disagreement means the points straddle different connected
-    components of the covering set.
-    """
-    points = list(points)
-    if not points:
-        raise ValueError("winding_of_component needs at least one point")
-    values = sorted({branch_log(p.matrix, alpha).winding for p in points})
-    if len(values) == 1:
-        return values[0]
-    return InconsistentWinding(tuple(values))

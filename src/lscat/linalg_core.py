@@ -11,10 +11,10 @@ combination recovers a joint eigenbasis.  The weight is drawn from a fixed
 list of incommensurate constants, so results are deterministic and a
 degenerate combination for one weight is broken by the next.
 
-Callers that need only the spectra of many unitary matrices (the cover's
-margins) solve a whole (T, m, m) stack at once with the same gates, and
-hand a matrix to the one-matrix solver only when the first weight fails
-for it.
+One loop over the weights solves a whole (T, m, m) stack: the first
+weight takes every matrix, and each later weight retries only the
+matrices the weight before it failed.  eig_normal runs it on a stack of
+one; the cover's margins read the eigenvalues of a whole stack.
 
 Matrices are plain numpy complex arrays; operations are pure and never
 modify their inputs.  The gates are the fixed constants MEMBERSHIP_TOL,
@@ -32,7 +32,7 @@ from .errors import NoConvergence, NotInSpace, NotNormal, NotSkewHermitian
 
 TWO_PI = 2.0 * np.pi
 
-# Mixing weights for the generic-combination trick in eig_normal.
+# Mixing weights for the generic-combination trick in _eig_stack.
 # Irrational and pairwise incommensurate.
 _MIX_WEIGHTS = (
     0.7853981633974483,   # pi/4
@@ -88,9 +88,13 @@ def _scale(a) -> float:
 
 
 def _near_unitary(X) -> bool:
-    """Whether ||X X* - E|| is within 100 MEMBERSHIP_TOL, relative to ||X||."""
-    residual = frobenius(X @ X.conj().T - np.eye(X.shape[0]))
-    return residual <= 100.0 * MEMBERSHIP_TOL * max(frobenius(X), 1.0)
+    """Whether ||X X* - E|| is within 100 MEMBERSHIP_TOL, relative to ||X||.
+
+    X is one matrix or a stack; a stack passes when every matrix does.
+    """
+    residual = np.linalg.norm(X @ X.conj().swapaxes(-1, -2) - np.eye(X.shape[-1]), axis=(-2, -1))
+    bound = 100.0 * MEMBERSHIP_TOL * np.maximum(np.linalg.norm(X, axis=(-2, -1)), 1.0)
+    return bool(np.all(residual <= bound))
 
 
 def angular_distance(a, b):
@@ -116,69 +120,71 @@ def cluster_angles(angles, tol: float) -> list[np.ndarray]:
     return pieces
 
 
-def eig_normal(X) -> EigenDecomposition:
-    """Eigendecomposition of a normal matrix via its Hermitian parts.
+def _eig_stack(X) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors and eigenvalues of each matrix of a (T, m, m) normal stack.
 
-    Splits X = H1 + i H2 with H1, H2 commuting Hermitian and solves the
-    Hermitian problem for H1 + mu H2 with a generic weight mu; the joint
-    eigenbasis diagonalizes X.  Eigenvalues are recovered as Rayleigh
-    quotients and the decomposition is accepted only after a residual
-    check, retrying with the next weight on failure.
+    Splits each X = H1 + i H2 with H1, H2 commuting Hermitian and solves
+    the Hermitian problem for H1 + mu H2 with a generic weight mu; the
+    joint eigenbasis diagonalizes X.  Eigenvalues are recovered as Rayleigh
+    quotients and a matrix is accepted only after a residual check.  The
+    first weight solves the whole stack; each later weight retries only
+    the matrices that failed the weight before it.
 
-    Raises NotNormal when the commutator residual of X exceeds
+    Returns (V, lam) with X[t] V[t] = V[t] diag(lam[t]) in solver order.
+    Raises NotNormal when some commutator residual exceeds
     100 * MEMBERSHIP_TOL (relative), and NoConvergence when every weight
-    fails the residual check.
+    fails the residual check for some matrix.
     """
-    X = as_matrix(X)
-    s = _scale(X)
-    Xh = X.conj().T
-    if frobenius(X @ Xh - Xh @ X) > 100.0 * MEMBERSHIP_TOL * s * s:
+    Xh = X.conj().swapaxes(1, 2)
+    s = np.linalg.norm(X, axis=(1, 2))
+    if (np.linalg.norm(X @ Xh - Xh @ X, axis=(1, 2)) > 100.0 * MEMBERSHIP_TOL * s * s).any():
         raise NotNormal("matrix does not commute with its conjugate transpose")
 
     H1 = (X + Xh) / 2.0
     H2 = (X - Xh) / 2.0j
-    E = np.eye(X.shape[0])
+    rows = slice(None)  # the first weight takes the whole stack, without a gather
+    V = lam = None
     for mu in _MIX_WEIGHTS:
-        _, V = np.linalg.eigh(H1 + mu * H2)
-        lam = np.einsum("ij,ij->j", V.conj(), X @ V)
-        order = np.lexsort((lam.imag, np.angle(lam)))
-        V = V[:, order]
-        lam = lam[order]
-        if frobenius(X @ V - V * lam) <= MEMBERSHIP_TOL * s:
-            if frobenius(V @ V.conj().T - E) > MEMBERSHIP_TOL:
-                V, _ = np.linalg.qr(V)
-            return EigenDecomposition(P=V, eigenvalues=lam)
+        _, Vr = np.linalg.eigh(H1[rows] + mu * H2[rows])
+        XVr = X[rows] @ Vr
+        lr = np.einsum("tij,tij->tj", Vr.conj(), XVr)
+        failed = np.linalg.norm(XVr - Vr * lr[:, None, :], axis=(1, 2)) > MEMBERSHIP_TOL * s[rows]
+        if V is None:
+            V, lam = Vr, lr
+        else:
+            V[rows], lam[rows] = Vr, lr
+        rows = np.arange(len(X))[rows][failed]
+        if rows.size == 0:
+            return V, lam
     raise NoConvergence("no mixing weight separated the spectrum")
+
+
+def eig_normal(X) -> EigenDecomposition:
+    """Eigendecomposition of a normal matrix, the one-matrix _eig_stack.
+
+    Sorts the eigenpairs and re-orthonormalizes P by QR when its columns
+    drift from orthonormal by more than MEMBERSHIP_TOL.  Raises NotNormal
+    and NoConvergence as _eig_stack does.
+    """
+    (V,), (lam,) = _eig_stack(as_matrix(X)[None])
+    order = np.lexsort((lam.imag, np.angle(lam)))
+    V = V[:, order]
+    lam = lam[order]
+    if frobenius(V @ V.conj().T - np.eye(V.shape[0])) > MEMBERSHIP_TOL:
+        V, _ = np.linalg.qr(V)
+    return EigenDecomposition(P=V, eigenvalues=lam)
 
 
 def _unitary_eigvals(X) -> np.ndarray:
     """Eigenvalues of each matrix of a (T, m, m) stack of unitary matrices.
 
-    The stacked, eigenvalues-only form of eig_normal, with its gates per
-    matrix: NotInSpace unless every matrix passes the near-unitary
-    pre-check, NotNormal as in eig_normal, then one stacked Hermitian solve
-    with the first mixing weight, Rayleigh quotients and the residual
-    check.  A matrix that fails the check takes eig_normal's eigenvalues,
-    retries included.  Returns a (T, m) array; the order within a row is
-    unspecified.
+    NotInSpace unless every matrix passes the near-unitary pre-check, then
+    the gates and weights of _eig_stack.  Returns a (T, m) array; the order
+    within a row is unspecified.
     """
-    Xh = X.conj().swapaxes(1, 2)
-    XXh = X @ Xh
-    s = np.linalg.norm(X, axis=(1, 2))
-    if np.any(
-        np.linalg.norm(XXh - np.eye(X.shape[1]), axis=(1, 2))
-        > 100.0 * MEMBERSHIP_TOL * np.maximum(s, 1.0)
-    ):
+    if not _near_unitary(X):
         raise NotInSpace("classification needs a unitary matrix")
-    if np.any(np.linalg.norm(XXh - Xh @ X, axis=(1, 2)) > 100.0 * MEMBERSHIP_TOL * s * s):
-        raise NotNormal("matrix does not commute with its conjugate transpose")
-    _, V = np.linalg.eigh((X + Xh) / 2.0 + _MIX_WEIGHTS[0] * ((X - Xh) / 2.0j))
-    XV = X @ V
-    lam = np.einsum("tij,tij->tj", V.conj(), XV)
-    residual = np.linalg.norm(XV - V * lam[:, None, :], axis=(1, 2))
-    for t in np.flatnonzero(residual > MEMBERSHIP_TOL * s):
-        lam[t] = eig_normal(X[t]).eigenvalues
-    return lam
+    return _eig_stack(X)[1]
 
 
 def exp_skew_hermitian(H) -> np.ndarray:

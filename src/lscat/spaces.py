@@ -3,9 +3,8 @@
 A point of the symmetric family AI(n) is a transpose-symmetric special
 unitary matrix in SU(n); a point of the twisted family AII(n) is a matrix
 X in SU(2n) obeying tX = J X tJ for the structural block matrix J.
-This module provides the membership predicates, J itself, Haar sampling
-through the transitive group actions, and the quaternion-block embedding
-of the compact symplectic group.
+This module provides the membership predicates, J itself, and Haar
+sampling through the transitive group actions.
 
 Sampling is stacked: one draw forms a (c, m, m) array of points with
 stacked QR, determinant, phase and products, at most 2^16 complex entries
@@ -21,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotSymplectic
+from .errors import DimensionMismatch
 from .linalg_core import (
     MEMBERSHIP_TOL,
     _json_side,
@@ -193,30 +192,6 @@ def sample_points(kind: SpaceKind, count: int, seed: int) -> list[SpacePoint]:
 def sample(kind: SpaceKind, seed: int) -> SpacePoint:
     """Draw a single point; equals sample_points(kind, 1, seed)[0]."""
     return sample_points(kind, 1, seed)[0]
-
-
-def symplectic_embed(A, B) -> np.ndarray:
-    """Embed the quaternion matrix with complex blocks (A, B) into SU(2n).
-
-    Returns the block matrix [[A, -conj(B)], [B, conj(A)]].  For a
-    quaternion-unitary input the result is unitary and preserves J under
-    congruence, which is verified post hoc; NotSymplectic is raised when
-    the J-preservation residual exceeds 100 MEMBERSHIP_TOL, relative to the
-    norm of the embedding.
-    """
-    A = as_matrix(A)
-    B = as_matrix(B)
-    if A.shape != B.shape:
-        raise DimensionMismatch("blocks A and B must have equal square shapes")
-    n = A.shape[0]
-    M = np.block([[A, -B.conj()], [B, A.conj()]])
-    J = structural_J(n)
-    residual = frobenius(M @ J @ M.T - J)
-    if residual > 100.0 * MEMBERSHIP_TOL * max(frobenius(M), 1.0):
-        raise NotSymplectic(
-            f"embedded blocks do not preserve J (residual {residual:.3e})"
-        )
-    return M
 
 
 def point_to_json(point: SpacePoint) -> dict:

@@ -20,6 +20,18 @@ def assert_special_unitary(P, tol=1e-10):
     assert abs(np.linalg.det(P) - 1.0) <= tol
 
 
+def rotation_and_roots(P):
+    """(B, c) with P = B diag(c, c), read off a skew factor P.
+
+    Column k of P is c_k times a real unit vector, so its squared entries
+    sum to c_k^2; the sign of the root c_k only flips columns k and n + k
+    of B.
+    """
+    n = P.shape[0] // 2
+    c = np.sqrt(np.sum(P[:, :n] ** 2, axis=0))
+    return P / np.concatenate([c, c]), c
+
+
 def test_factor_symmetric_identity():
     res = factor_symmetric(np.eye(4))
     assert res.residual <= 1e-12
@@ -151,8 +163,11 @@ def test_factor_skew_block_identity():
         Q = haar_special_unitary(2 * n, rng)
         J = structural_J(n)
         X = Q @ J @ Q.T
-        inter = factor_skew(X).intermediates
-        assert np.linalg.norm(inter.B.T @ X @ inter.B - inter.C @ J @ inter.C.T) <= 1e-9
+        B, c = rotation_and_roots(factor_skew(X).P)
+        C = np.diag(np.concatenate([c, c]))
+        assert np.linalg.norm(B.imag) <= 1e-9
+        assert np.linalg.norm(B.real.T @ B.real - np.eye(2 * n)) <= 1e-9
+        assert np.linalg.norm(B.real.T @ X @ B.real - C @ J @ C.T) <= 1e-9
 
 
 def test_factor_skew_det_certificate():
@@ -162,7 +177,7 @@ def test_factor_skew_det_certificate():
         Q = haar_special_unitary(2 * n, rng)
         X = Q @ structural_J(n) @ Q.T
         res = factor_skew(X)
-        det_c = np.prod(res.intermediates.roots) ** 2
+        det_c = np.prod(rotation_and_roots(res.P)[1]) ** 2
         assert min(abs(det_c - 1.0), abs(det_c + 1.0)) <= 1e-8
 
 

@@ -6,12 +6,7 @@ import scipy.linalg
 import scipy.stats
 
 from lscat.errors import BranchViolation, NotUnitary
-from lscat.homotopy import (
-    InconsistentWinding,
-    branch_log,
-    contract,
-    winding_of_component,
-)
+from lscat.homotopy import branch_log, contract
 from lscat.linalg_core import exp_skew_hermitian
 from lscat.spaces import Family, SpaceKind, SpacePoint, is_member, sample, sample_points
 
@@ -220,30 +215,23 @@ def test_contract_propagates_branch_violation():
 
 
 def test_winding_of_component_agreement():
-    assert winding_of_component([SpacePoint(SpaceKind.ai(3), np.eye(3))], np.pi) == 3
-    pts = [
-        SpacePoint(SpaceKind.ai(2), np.diag([1j, -1j])),
-        SpacePoint(SpaceKind.ai(2), np.diag([-1j, 1j])),
-    ]
-    assert winding_of_component(pts, 0.0) == 1
+    # points of one component of the branch domain share a winding
+    assert branch_log(np.eye(3), np.pi).winding == 3
+    for X in (np.diag([1j, -1j]), np.diag([-1j, 1j])):
+        assert branch_log(X, 0.0).winding == 1
 
 
 def test_winding_of_component_propagates_violation():
-    pts = [SpacePoint(SpaceKind.ai(2), np.diag([1j, -1j])),
-           SpacePoint(SpaceKind.ai(2), np.eye(2))]
+    # E has its eigenvalue on the cut, so it lies in no component
     with pytest.raises(BranchViolation):
-        winding_of_component(pts, 0.0)
+        branch_log(np.eye(2), 0.0)
 
 
 def test_winding_of_component_inconsistent():
+    # low and high lie in different components at alpha = 0
     eps = 0.3
     low = np.diag(np.exp(1j * np.array([eps, eps, 2 * np.pi - 2 * eps])))
     high = np.diag(np.exp(1j * np.array([2 * np.pi - eps, 2 * np.pi - eps, 2 * eps])))
-    pts = [SpacePoint(SpaceKind.ai(3), low), SpacePoint(SpaceKind.ai(3), high)]
-    for p in pts:
-        assert is_member(p.kind, p.matrix).member
-    result = winding_of_component(pts, 0.0)
-    assert isinstance(result, InconsistentWinding)
-    assert result.values == (1, 2)
-    with pytest.raises(ValueError):
-        winding_of_component([], 0.0)
+    for X in (low, high):
+        assert is_member(SpaceKind.ai(3), X).member
+    assert [branch_log(X, 0.0).winding for X in (low, high)] == [1, 2]

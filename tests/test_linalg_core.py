@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from lscat import linalg_core
 from lscat.errors import NotInSpace, NotNormal, NotSkewHermitian
 from lscat.linalg_core import (
     _MIX_WEIGHTS,
@@ -87,7 +86,7 @@ def test_eig_normal_rejects_nonnormal():
 def test_unitary_eigvals_falls_back_on_near_collision(monkeypatch):
     # H1 + mu H2 maps e^{i theta} to sqrt(1 + mu^2) cos(theta - arctan mu), so
     # the angles arctan mu +- 0.7 nearly meet in the first weight's spectrum
-    # and its eigenvectors mix them; only that matrix may go to eig_normal
+    # and its eigenvectors mix them; only that matrix may take the second weight
     rng = np.random.default_rng(29)
     m = 8
     phi = np.arctan(_MIX_WEIGHTS[0])
@@ -97,15 +96,21 @@ def test_unitary_eigvals_falls_back_on_near_collision(monkeypatch):
     stack = np.array([random_unitary(m, rng), random_unitary(m, rng), collide,
                       random_unitary(m, rng)])
     calls = []
+    eigh = np.linalg.eigh
 
-    def spy(X):
-        calls.append(X)
-        return eig_normal(X)
+    def counting_eigh(H):
+        calls.append(H)
+        return eigh(H)
 
-    monkeypatch.setattr(linalg_core, "eig_normal", spy)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     lam = _unitary_eigvals(stack)
-    assert len(calls) == 1 and np.array_equal(calls[0], collide)
-    assert np.array_equal(lam[2], eig_normal(collide).eigenvalues)
+    H1 = (collide + collide.conj().T) / 2.0
+    H2 = (collide - collide.conj().T) / 2.0j
+    assert [len(H) for H in calls] == [4, 1]
+    assert np.array_equal(calls[1][0], H1 + _MIX_WEIGHTS[1] * H2)
+    monkeypatch.undo()
+    # the same values as eig_normal's, in solver order
+    assert np.array_equal(np.sort_complex(lam[2]), np.sort_complex(eig_normal(collide).eigenvalues))
     assert np.allclose(np.sort(np.angle(lam[2])), np.sort(np.angle(np.exp(1j * theta))),
                        atol=1e-12)
     for X, row in zip(stack, lam):

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from lscat.errors import DimensionMismatch, NotSymplectic
-from lscat.linalg_core import eig_normal, exp_skew_hermitian
+from lscat.errors import DimensionMismatch
+from lscat.linalg_core import eig_normal
 from lscat.spaces import (
     Family,
     SpaceKind,
@@ -16,7 +16,6 @@ from lscat.spaces import (
     sample,
     sample_points,
     structural_J,
-    symplectic_embed,
 )
 
 
@@ -172,41 +171,6 @@ def test_eigenvector_twist_pairing_on_samples():
             lam = dec.eigenvalues[j]
             twisted = J @ v.conj()
             assert np.linalg.norm(pt.matrix @ twisted - lam * twisted) < 1e-9
-
-
-def test_symplectic_embed_identity_and_J():
-    n = 3
-    assert np.allclose(symplectic_embed(np.eye(n), np.zeros((n, n))), np.eye(2 * n))
-    M = symplectic_embed(np.zeros((n, n)), np.eye(n))
-    assert np.array_equal(M, structural_J(n))
-
-
-def test_symplectic_embed_random_quaternion_unitary():
-    rng = np.random.default_rng(17)
-    n = 3
-    for _ in range(20):
-        Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        A = Z - Z.conj().T                       # skew-Hermitian block
-        W = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        B = W + W.T                              # symmetric block
-        H = np.block([[A, -B.conj()], [B, A.conj()]])
-        U = exp_skew_hermitian(H)
-        M = symplectic_embed(U[:n, :n], U[n:, :n])
-        assert np.linalg.norm(M - U) < 1e-12
-        J = structural_J(n)
-        assert np.linalg.norm(M @ J @ M.T - J) <= 1e-9
-        assert np.linalg.norm(M @ M.conj().T - np.eye(2 * n)) <= 1e-9
-        assert abs(np.linalg.det(M) - 1) < 1e-9
-
-
-def test_symplectic_embed_rejects_garbage():
-    rng = np.random.default_rng(8)
-    A = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    B = rng.standard_normal((2, 2))
-    with pytest.raises(NotSymplectic):
-        symplectic_embed(A, B)
-    with pytest.raises(DimensionMismatch):
-        symplectic_embed(np.eye(2), np.eye(3))
 
 
 def test_point_json_roundtrip():
