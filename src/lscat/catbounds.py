@@ -48,7 +48,7 @@ class GradedAlgebraSpec:
     """Exterior algebra on generators of the given positive degrees.
 
     generators is a tuple, or a range for the arithmetic degrees of the
-    matrix families: its length and its check then cost O(1) for any n.
+    matrix families: its count and its check then cost O(1) for any n.
     coefficient_tag is metadata only ("mod2" or "integer"); the cup length
     of an exterior algebra does not depend on it.
     """
@@ -91,7 +91,10 @@ def cup_length(spec: GradedAlgebraSpec) -> int:
     Every generator squares to zero, so a nonzero product uses each at most
     once, and the product of all m of them is the nonzero top class.
     """
-    return len(spec.generators)
+    degrees = spec.generators
+    if isinstance(degrees, range) and degrees:  # len() of a range stops at sys.maxsize
+        return (degrees[-1] - degrees[0]) // degrees.step + 1
+    return len(degrees)
 
 
 def ganea_upper(dimension: int, connectivity_r: int) -> int:

@@ -373,11 +373,8 @@ def run(argv: list[str]) -> int:
                 _build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
         else:
             args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         return args.func(args)
-    except SystemExit as exc:  # the command parser's error() inside a command
+    except SystemExit as exc:  # a usage error, in parsing or from a command's parser
         return int(exc.code or 0)
     except (LscatError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         _note(f"error: {exc}")

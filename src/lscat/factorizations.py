@@ -143,11 +143,7 @@ def factor_skew(X) -> FactorizationResult:
         raise OddPairingFailure(f"expected {n} pairs, found {lams.shape[0]}")
 
     # Real orthonormal basis, one (w, w') pair per eigenvector.
-    w = np.sqrt(2.0) * vs.real
-    wp = np.sqrt(2.0) * vs.imag
-    B = np.empty((m, m))
-    B[:, :n] = w
-    B[:, n:] = wp
+    B = np.sqrt(2.0) * np.hstack([vs.real, vs.imag])
     if frobenius(B.T @ B - np.eye(m)) > 100.0 * MEMBERSHIP_TOL:
         raise OddPairingFailure("paired basis lost orthonormality")
 

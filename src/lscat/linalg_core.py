@@ -81,10 +81,10 @@ def frobenius(a) -> float:
     return float(np.linalg.norm(a))
 
 
-def _scale(a) -> float:
-    """Frobenius norm of the input, or 1 for the zero matrix."""
-    nrm = frobenius(a)
-    return nrm if nrm > 0.0 else 1.0
+def _norms(a) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack: one product each, cheaper than an axis norm."""
+    f = a.reshape(*a.shape[:-2], 1, a.shape[-2] * a.shape[-1])
+    return np.sqrt((f.conj() @ f.swapaxes(-1, -2))[..., 0, 0].real)
 
 
 def _near_unitary(X) -> bool:
@@ -92,9 +92,8 @@ def _near_unitary(X) -> bool:
 
     X is one matrix or a stack; a stack passes when every matrix does.
     """
-    residual = np.linalg.norm(X @ X.conj().swapaxes(-1, -2) - np.eye(X.shape[-1]), axis=(-2, -1))
-    bound = 100.0 * MEMBERSHIP_TOL * np.maximum(np.linalg.norm(X, axis=(-2, -1)), 1.0)
-    return bool(np.all(residual <= bound))
+    residual = _norms(X @ X.conj().swapaxes(-1, -2) - np.eye(X.shape[-1]))
+    return bool((residual <= 100.0 * MEMBERSHIP_TOL * np.maximum(_norms(X), 1.0)).all())
 
 
 def angular_distance(a, b):
@@ -120,6 +119,12 @@ def cluster_angles(angles, tol: float) -> list[np.ndarray]:
     return pieces
 
 
+def _sorted_pair(V, lam) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of one matrix by ascending argument, ties by ascending imaginary part."""
+    order = np.lexsort((lam.imag, np.angle(lam)))
+    return V[:, order], lam[order]
+
+
 def _eig_stack(X) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvectors and eigenvalues of each matrix of a (T, m, m) normal stack.
 
@@ -130,14 +135,16 @@ def _eig_stack(X) -> tuple[np.ndarray, np.ndarray]:
     first weight solves the whole stack; each later weight retries only
     the matrices that failed the weight before it.
 
-    Returns (V, lam) with X[t] V[t] = V[t] diag(lam[t]) in solver order.
+    Returns (V, lam) with X[t] V[t] = V[t] diag(lam[t]).  A matrix the
+    first weight accepts keeps the solver's order; one a later weight
+    accepts is sorted by _sorted_pair, as eig_normal returns it.
     Raises NotNormal when some commutator residual exceeds
     100 * MEMBERSHIP_TOL (relative), and NoConvergence when every weight
     fails the residual check for some matrix.
     """
     Xh = X.conj().swapaxes(1, 2)
-    s = np.linalg.norm(X, axis=(1, 2))
-    if (np.linalg.norm(X @ Xh - Xh @ X, axis=(1, 2)) > 100.0 * MEMBERSHIP_TOL * s * s).any():
+    s = _norms(X)
+    if (_norms(X @ Xh - Xh @ X) > 100.0 * MEMBERSHIP_TOL * s * s).any():
         raise NotNormal("matrix does not commute with its conjugate transpose")
 
     H1 = (X + Xh) / 2.0
@@ -148,11 +155,12 @@ def _eig_stack(X) -> tuple[np.ndarray, np.ndarray]:
         _, Vr = np.linalg.eigh(H1[rows] + mu * H2[rows])
         XVr = X[rows] @ Vr
         lr = np.einsum("tij,tij->tj", Vr.conj(), XVr)
-        failed = np.linalg.norm(XVr - Vr * lr[:, None, :], axis=(1, 2)) > MEMBERSHIP_TOL * s[rows]
+        failed = _norms(XVr - Vr * lr[:, None, :]) > MEMBERSHIP_TOL * s[rows]
         if V is None:
             V, lam = Vr, lr
-        else:
-            V[rows], lam[rows] = Vr, lr
+        else:  # a retried matrix comes back in eig_normal's order
+            for t, Vt, lt in zip(rows, Vr, lr):
+                V[t], lam[t] = _sorted_pair(Vt, lt)
         rows = np.arange(len(X))[rows][failed]
         if rows.size == 0:
             return V, lam
@@ -166,10 +174,8 @@ def eig_normal(X) -> EigenDecomposition:
     drift from orthonormal by more than MEMBERSHIP_TOL.  Raises NotNormal
     and NoConvergence as _eig_stack does.
     """
-    (V,), (lam,) = _eig_stack(as_matrix(X)[None])
-    order = np.lexsort((lam.imag, np.angle(lam)))
-    V = V[:, order]
-    lam = lam[order]
+    V, lam = _eig_stack(as_matrix(X)[None])
+    V, lam = _sorted_pair(V[0], lam[0])
     if frobenius(V @ V.conj().T - np.eye(V.shape[0])) > MEMBERSHIP_TOL:
         V, _ = np.linalg.qr(V)
     return EigenDecomposition(P=V, eigenvalues=lam)
@@ -194,7 +200,7 @@ def exp_skew_hermitian(H) -> np.ndarray:
     result is unitary by construction up to roundoff.
     """
     H = as_matrix(H)
-    if frobenius(H + H.conj().T) > 100.0 * MEMBERSHIP_TOL * _scale(H):
+    if frobenius(H + H.conj().T) > 100.0 * MEMBERSHIP_TOL * (frobenius(H) or 1.0):
         raise NotSkewHermitian("matrix is not skew-Hermitian")
     w, V = np.linalg.eigh(-1j * H)
     return (V * np.exp(1j * w)) @ V.conj().T
