@@ -150,14 +150,12 @@ def _membership_json(point: SpacePoint, report) -> dict:
     }
 
 
-def _resolve_alpha(parser, args, point: SpacePoint) -> float:
+def _resolve_alpha(args, point: SpacePoint) -> float:
     if args.alpha is not None:
         return args.alpha
-    if args.alpha_from_cover:
-        config = default_cover(point.kind)
-        cls = classify(config, point)
-        return float(np.angle(config.lambdas[cls.witness])) % (2.0 * np.pi)
-    parser.error("provide --alpha or --alpha-from-cover")
+    config = default_cover(point.kind)
+    cls = classify(config, point)
+    return float(np.angle(config.lambdas[cls.witness])) % (2.0 * np.pi)
 
 
 def _cmd_sample(parser, args) -> int:
@@ -193,7 +191,7 @@ def _cmd_factor(parser, args) -> int:
 
 def _cmd_log(parser, args) -> int:
     for point in _points_from_input(parser, args):
-        alpha = _resolve_alpha(parser, args, point)
+        alpha = _resolve_alpha(args, point)
         bl = branch_log(point.matrix, alpha)
         _emit(
             {
@@ -210,7 +208,7 @@ def _cmd_log(parser, args) -> int:
 def _cmd_contract(parser, args) -> int:
     """One JSON list of samples per point, written element by element."""
     for point in _points_from_input(parser, args):
-        alpha = _resolve_alpha(parser, args, point)
+        alpha = _resolve_alpha(args, point)
         target_scalar, samples = _contraction(point, alpha, args.steps)
         worst = 0.0
         separator = "["
@@ -293,8 +291,9 @@ def _add_common(p, input_default="-") -> None:
 
 def _log_args(p) -> None:
     _add_common(p)
-    p.add_argument("--alpha", type=_finite_float, default=None, help="branch angle in radians")
-    p.add_argument("--alpha-from-cover", action="store_true")
+    branch = p.add_mutually_exclusive_group(required=True)
+    branch.add_argument("--alpha", type=_finite_float, help="branch angle in radians")
+    branch.add_argument("--alpha-from-cover", action="store_true")
 
 
 def _sample_args(p) -> None:

@@ -12,8 +12,8 @@ Classification needs only the eigenvalue angles of a point.  One function
 of the angles gives the margins of a whole stack of spectra, and the audit
 draws, solves and classifies its samples as (c, m, m) stacks of at most
 2^16 complex entries per array, so its memory does not grow with the
-number of trials.  The spectra come from the same solver loop as
-eig_normal's, run on the whole stack.
+number of trials.  eig_normal's solver loop forms the spectra of a whole
+stack and gates each matrix as near-unitary, raising NotUnitary.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .errors import DimensionMismatch, NotInSpace, OddMultiplicity
 from .linalg_core import (
     BRANCH_MARGIN,
     CLUSTER_TOL,
-    _unitary_eigvals,
+    _eig_stack,
     angular_distance,
     cluster_angles,
 )
@@ -84,7 +84,7 @@ def classify(config: CoverConfig, point: SpacePoint) -> CoverClassification:
         raise DimensionMismatch(
             f"point kind {point.kind} does not match cover kind {config.kind}"
         )
-    (row,) = _margins(config, np.angle(_unitary_eigvals(point.matrix[None])))
+    (row,) = _margins(config, np.angle(_eig_stack(point.matrix[None], unitary=True)[1]))
     margins = tuple(float(margin) for margin in row)
     memberships = tuple(margin >= BRANCH_MARGIN for margin in margins)
     return CoverClassification(
@@ -112,7 +112,7 @@ def multiplicity_audit(point: SpacePoint) -> list[tuple[complex, int]]:
         raise NotInSpace(
             f"input fails the membership laws (max residual {report.max_residual:.3e})"
         )
-    eig = _unitary_eigvals(point.matrix[None])[0]
+    eig = _eig_stack(point.matrix[None], unitary=True)[1][0]
     angles = np.angle(eig)
     out = []
     for cluster in cluster_angles(angles, CLUSTER_TOL):
@@ -145,7 +145,7 @@ def cover_audit(kind: SpaceKind, trials: int, seed: int) -> CoverAuditReport:
     covered = 0
     min_witness_margin = np.inf
     for stack in _member_stacks(kind, trials, seed):
-        margins = _margins(config, np.angle(_unitary_eigvals(stack)))
+        margins = _margins(config, np.angle(_eig_stack(stack, unitary=True)[1]))
         hits = margins >= BRANCH_MARGIN
         covered += int(np.count_nonzero(hits.any(axis=1)))
         occupancy += hits.sum(axis=0)

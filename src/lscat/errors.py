@@ -26,12 +26,12 @@ class NotSkewHermitian(LscatError):
     """Input is not skew-Hermitian."""
 
 
-class NotUnitary(LscatError):
-    """Input is not unitary."""
-
-
 class NotInSpace(LscatError):
     """Matrix fails the membership laws of the requested space."""
+
+
+class NotUnitary(NotInSpace):
+    """Input is not unitary, so it fails the first law of either space."""
 
 
 class OddPairingFailure(LscatError):

@@ -20,14 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchViolation, MembershipDrift, NotUnitary
+from .errors import BranchViolation, MembershipDrift
 from .linalg_core import (
     BRANCH_MARGIN,
     MEMBERSHIP_TOL,
     TWO_PI,
-    _near_unitary,
+    _eig_stack,
+    _sorted_basis,
     as_matrix,
-    eig_normal,
 )
 from .spaces import MembershipReport, SpaceKind, SpacePoint, is_member
 
@@ -66,21 +66,19 @@ class HomotopyPath:
 
 
 def _lift(X, alpha: float) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """(P, theta, alpha mod 2 pi, margin) of X = P diag(e^{i theta}) P*."""
+    """(P, theta, alpha mod 2 pi, margin) of X = P diag(e^{i theta}) P*, as eig_normal finds P."""
     if not np.isfinite(alpha):
         raise ValueError(f"branch angle must be finite, got {alpha!r}")
-    X = as_matrix(X)
-    if not _near_unitary(X):
-        raise NotUnitary("branch logarithm is defined for unitary matrices only")
+    V, lam = _eig_stack(as_matrix(X)[None], unitary=True)
+    P, lam = _sorted_basis(V[0], lam[0])
     alpha = float(np.mod(alpha, TWO_PI))
-    dec = eig_normal(X)
-    rel = np.mod(np.angle(dec.eigenvalues) - alpha, TWO_PI)
+    rel = np.mod(np.angle(lam) - alpha, TWO_PI)
     margin = float(np.min(np.minimum(rel, TWO_PI - rel)))
     if margin < BRANCH_MARGIN:
         raise BranchViolation(
             f"eigenvalue within {margin:.3e} of the branch point", margin=margin
         )
-    return dec.P, alpha + rel, alpha, margin
+    return P, alpha + rel, alpha, margin
 
 
 def branch_log(X, alpha: float) -> BranchLog:

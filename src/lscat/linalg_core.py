@@ -13,8 +13,9 @@ degenerate combination for one weight is broken by the next.
 
 One loop over the weights solves a whole (T, m, m) stack: the first
 weight takes every matrix, and each later weight retries only the
-matrices the weight before it failed.  eig_normal runs it on a stack of
-one; the cover's margins read the eigenvalues of a whole stack.
+matrices the weight before it failed, gating X as near-unitary on request.
+eig_normal runs it on a stack of one; the cover's margins read the
+eigenvalues of a whole stack.
 
 Matrices are plain numpy complex arrays; operations are pure and never
 modify their inputs.  The gates are the fixed constants MEMBERSHIP_TOL,
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NotInSpace, NotNormal, NotSkewHermitian
+from .errors import NoConvergence, NotNormal, NotSkewHermitian, NotUnitary
 
 TWO_PI = 2.0 * np.pi
 
@@ -87,15 +88,6 @@ def _norms(a) -> np.ndarray:
     return np.sqrt((f.conj() @ f.swapaxes(-1, -2))[..., 0, 0].real)
 
 
-def _near_unitary(X) -> bool:
-    """Whether ||X X* - E|| is within 100 MEMBERSHIP_TOL, relative to ||X||.
-
-    X is one matrix or a stack; a stack passes when every matrix does.
-    """
-    residual = _norms(X @ X.conj().swapaxes(-1, -2) - np.eye(X.shape[-1]))
-    return bool((residual <= 100.0 * MEMBERSHIP_TOL * np.maximum(_norms(X), 1.0)).all())
-
-
 def angular_distance(a, b):
     """Distance between angles on the circle, folded into [0, pi]."""
     return np.abs(np.mod(np.asarray(a) - b + np.pi, TWO_PI) - np.pi)
@@ -119,13 +111,16 @@ def cluster_angles(angles, tol: float) -> list[np.ndarray]:
     return pieces
 
 
-def _sorted_pair(V, lam) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of one matrix by ascending argument, ties by ascending imaginary part."""
+def _sorted_basis(V, lam) -> tuple[np.ndarray, np.ndarray]:
+    """One matrix's eigenpairs in EigenDecomposition's order, V re-orthonormalized on drift."""
     order = np.lexsort((lam.imag, np.angle(lam)))
-    return V[:, order], lam[order]
+    V, lam = V[:, order], lam[order]
+    if frobenius(V @ V.conj().T - np.eye(V.shape[0])) > MEMBERSHIP_TOL:
+        V, _ = np.linalg.qr(V)
+    return V, lam
 
 
-def _eig_stack(X) -> tuple[np.ndarray, np.ndarray]:
+def _eig_stack(X, unitary: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvectors and eigenvalues of each matrix of a (T, m, m) normal stack.
 
     Splits each X = H1 + i H2 with H1, H2 commuting Hermitian and solves
@@ -135,16 +130,21 @@ def _eig_stack(X) -> tuple[np.ndarray, np.ndarray]:
     first weight solves the whole stack; each later weight retries only
     the matrices that failed the weight before it.
 
-    Returns (V, lam) with X[t] V[t] = V[t] diag(lam[t]).  A matrix the
-    first weight accepts keeps the solver's order; one a later weight
-    accepts is sorted by _sorted_pair, as eig_normal returns it.
-    Raises NotNormal when some commutator residual exceeds
-    100 * MEMBERSHIP_TOL (relative), and NoConvergence when every weight
-    fails the residual check for some matrix.
+    Returns (V, lam) with X[t] V[t] = V[t] diag(lam[t]).  A matrix the first
+    weight accepts keeps the solver's order; one a later weight accepts goes
+    through _sorted_basis, as eig_normal returns it.  With unitary set, raises
+    NotUnitary unless every ||X X* - E|| is within 100 * MEMBERSHIP_TOL *
+    max(||X||, 1), on the X X* the next gate reads.  Raises NotNormal when some
+    commutator residual exceeds 100 * MEMBERSHIP_TOL (relative), and
+    NoConvergence when every weight fails the residual check for some matrix.
     """
     Xh = X.conj().swapaxes(1, 2)
     s = _norms(X)
-    if (_norms(X @ Xh - Xh @ X) > 100.0 * MEMBERSHIP_TOL * s * s).any():
+    XXh = X @ Xh
+    tol = 100.0 * MEMBERSHIP_TOL
+    if unitary and not (_norms(XXh - np.eye(X.shape[-1])) <= tol * np.maximum(s, 1.0)).all():
+        raise NotUnitary("matrix is not unitary")
+    if (_norms(XXh - Xh @ X) > tol * s * s).any():
         raise NotNormal("matrix does not commute with its conjugate transpose")
 
     H1 = (X + Xh) / 2.0
@@ -158,9 +158,9 @@ def _eig_stack(X) -> tuple[np.ndarray, np.ndarray]:
         failed = _norms(XVr - Vr * lr[:, None, :]) > MEMBERSHIP_TOL * s[rows]
         if V is None:
             V, lam = Vr, lr
-        else:  # a retried matrix comes back in eig_normal's order
+        else:  # a retried matrix comes back as eig_normal returns it
             for t, Vt, lt in zip(rows, Vr, lr):
-                V[t], lam[t] = _sorted_pair(Vt, lt)
+                V[t], lam[t] = _sorted_basis(Vt, lt)
         rows = np.arange(len(X))[rows][failed]
         if rows.size == 0:
             return V, lam
@@ -168,29 +168,12 @@ def _eig_stack(X) -> tuple[np.ndarray, np.ndarray]:
 
 
 def eig_normal(X) -> EigenDecomposition:
-    """Eigendecomposition of a normal matrix, the one-matrix _eig_stack.
+    """Eigendecomposition of a normal matrix: the one-matrix _eig_stack, then _sorted_basis.
 
-    Sorts the eigenpairs and re-orthonormalizes P by QR when its columns
-    drift from orthonormal by more than MEMBERSHIP_TOL.  Raises NotNormal
-    and NoConvergence as _eig_stack does.
+    Raises NotNormal and NoConvergence as _eig_stack does.
     """
     V, lam = _eig_stack(as_matrix(X)[None])
-    V, lam = _sorted_pair(V[0], lam[0])
-    if frobenius(V @ V.conj().T - np.eye(V.shape[0])) > MEMBERSHIP_TOL:
-        V, _ = np.linalg.qr(V)
-    return EigenDecomposition(P=V, eigenvalues=lam)
-
-
-def _unitary_eigvals(X) -> np.ndarray:
-    """Eigenvalues of each matrix of a (T, m, m) stack of unitary matrices.
-
-    NotInSpace unless every matrix passes the near-unitary pre-check, then
-    the gates and weights of _eig_stack.  Returns a (T, m) array; the order
-    within a row is unspecified.
-    """
-    if not _near_unitary(X):
-        raise NotInSpace("classification needs a unitary matrix")
-    return _eig_stack(X)[1]
+    return EigenDecomposition(*_sorted_basis(V[0], lam[0]))
 
 
 def exp_skew_hermitian(H) -> np.ndarray:

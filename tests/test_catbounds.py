@@ -68,6 +68,9 @@ def test_graded_algebra_spec_validation():
         with pytest.raises(ValueError):
             GradedAlgebraSpec(degrees)
     assert cup_length(GradedAlgebraSpec(range(5, 1))) == 0
+    for generators in (ai_cohomology_generators, aii_cohomology_generators):
+        with pytest.raises(InvalidParams):
+            generators(0)
 
 
 def test_ganea_upper():
@@ -77,6 +80,8 @@ def test_ganea_upper():
     assert ganea_upper(0, 1) == 0
     with pytest.raises(InvalidConnectivity):
         ganea_upper(4, 0)
+    with pytest.raises(InvalidParams):
+        ganea_upper(-1, 1)
 
 
 def test_kahler_cat():

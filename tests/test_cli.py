@@ -144,6 +144,9 @@ def test_bare_matrix_input_with_flags(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out)["member"] is True
+    code, out, err = invoke(capsys, ["check", "--input", str(path)])
+    assert code == 2 and out == ""
+    assert err.endswith("lscat check: error: --space and --n are required here\n")
 
 
 def test_table_formats_and_golden(capsys):
@@ -169,7 +172,7 @@ def test_describe_command(capsys):
     assert json.loads(out)["cat_exact"] is None
 
 
-def test_tol_override_changes_verdict(capsys, tmp_path):
+def test_fixed_gate_rejects_near_member(capsys, tmp_path):
     # a slightly perturbed member fails at the fixed membership gate
     path = tmp_path / "near.ndjson"
     X = np.eye(2) * np.exp(1e-6j)  # unitary, symmetric, det = e^{2e-6 i}
@@ -213,6 +216,11 @@ def test_usage_errors_exit_2(capsys):
         ["sample", "--space", "ai", "--n", "4097", "--seed", "1"],
         ["sample", "--space", "aii", "--n", "2049", "--seed", "1"],
         ["cover", "--space", "ai", "--n", "100000", "--trials", "1", "--seed", "1"],
+        # exactly one branch choice, checked before any input is read
+        ["log", "--input", os.devnull],
+        ["contract", "--input", "missing.ndjson"],
+        ["log", "--input", os.devnull, "--alpha", "1", "--alpha-from-cover"],
+        ["log", "--input", os.devnull, "--alpha", "--alpha-from-cover"],
     ):
         code, out, _ = invoke(capsys, argv)
         assert code == 2 and out == ""
@@ -224,6 +232,16 @@ def test_usage_errors_inside_a_command_print_its_usage(capsys):
          "lscat sample: error: matrix side 4098 is above the ceiling 4096"),
         (["cover", "--space", "ai", "--n", "2"],
          "lscat cover: error: cover needs --input (classify) or --trials (audit)"),
+        (["cover", "--space", "ai", "--n", "3", "--trials", "5"],
+         "lscat cover: error: --seed is required for a cover audit"),
+        (["sample", "--space", "ai", "--n", "x", "--seed", "1"],
+         "lscat sample: error: argument --n: expected a positive integer, got 'x'"),
+        (["sample", "--space", "ai", "--n", "3", "--seed", "1", "--count", "1.5"],
+         "lscat sample: error: argument --count: expected a positive integer, got '1.5'"),
+        (["log", "--input", "missing.ndjson", "--alpha", "abc"],
+         "lscat log: error: argument --alpha: expected a finite number, got 'abc'"),
+        (["contract", "--input", os.devnull],
+         "lscat contract: error: one of the arguments --alpha --alpha-from-cover is required"),
     ):
         code, out, err = invoke(capsys, argv)
         assert code == 2 and out == ""
@@ -304,6 +322,7 @@ def test_domain_errors_exit_1(capsys, tmp_path):
         {"n": 1, "entries": [[True, 0]]},
         {"n": 1, "entries": [[1.5, True]]},
         {"n": 1, "entries": [[1, 0], [1]]},
+        {"n": 1},  # neither a point nor a bare matrix
     ):
         bad.write_text(json.dumps(record) + "\n")
         code, out, err = invoke(capsys, ["check", "--space", "ai", "--n", "1",

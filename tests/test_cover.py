@@ -156,6 +156,8 @@ def test_cover_audit_one_point_space():
     report = cover_audit(SpaceKind.ai(1), trials=50, seed=4)
     assert report.covered_fraction == 1.0
     assert report.occupancy == (50,)
+    with pytest.raises(ValueError, match="trials"):
+        cover_audit(SpaceKind.ai(1), 0, 4)
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.stats
 
-from lscat.errors import BranchViolation, NotUnitary
+from lscat.errors import BranchViolation, NotInSpace, NotUnitary
 from lscat.homotopy import branch_log, contract
 from lscat.linalg_core import exp_skew_hermitian
 from lscat.spaces import Family, SpaceKind, SpacePoint, is_member, sample, sample_points
@@ -44,6 +44,10 @@ def test_branch_log_violation_and_margin():
 def test_branch_log_rejects_nonunitary():
     with pytest.raises(NotUnitary):
         branch_log(2.0 * np.eye(2), np.pi)
+    # the contraction takes the same gate; its error is also a NotInSpace
+    with pytest.raises(NotUnitary) as info:
+        contract(SpacePoint(SpaceKind.ai(2), 2.0 * np.eye(2)), np.pi)
+    assert isinstance(info.value, NotInSpace)
 
 
 def test_branch_log_rejects_non_finite_alpha():
@@ -212,22 +216,24 @@ def test_contract_makes_one_eigensolve(monkeypatch):
 def test_contract_propagates_branch_violation():
     with pytest.raises(BranchViolation):
         contract(SpacePoint(SpaceKind.ai(2), np.eye(2)), 0.0)
+    with pytest.raises(ValueError, match="steps"):
+        contract(SpacePoint(SpaceKind.ai(2), np.eye(2)), np.pi, steps=0)
 
 
-def test_winding_of_component_agreement():
+def test_branch_log_winding_agrees_within_a_component():
     # points of one component of the branch domain share a winding
     assert branch_log(np.eye(3), np.pi).winding == 3
     for X in (np.diag([1j, -1j]), np.diag([-1j, 1j])):
         assert branch_log(X, 0.0).winding == 1
 
 
-def test_winding_of_component_propagates_violation():
+def test_branch_log_winding_undefined_on_the_cut():
     # E has its eigenvalue on the cut, so it lies in no component
     with pytest.raises(BranchViolation):
         branch_log(np.eye(2), 0.0)
 
 
-def test_winding_of_component_inconsistent():
+def test_branch_log_winding_differs_across_components():
     # low and high lie in different components at alpha = 0
     eps = 0.3
     low = np.diag(np.exp(1j * np.array([eps, eps, 2 * np.pi - 2 * eps])))

@@ -12,7 +12,7 @@ from lscat.linalg_core import (
     BRANCH_MARGIN,
     CLUSTER_TOL,
     MEMBERSHIP_TOL,
-    _unitary_eigvals,
+    _eig_stack,
     angular_distance,
     as_matrix,
     cluster_angles,
@@ -83,7 +83,7 @@ def test_eig_normal_rejects_nonnormal():
         eig_normal(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
-def test_unitary_eigvals_falls_back_on_near_collision(monkeypatch):
+def test_eig_stack_falls_back_on_near_collision(monkeypatch):
     # H1 + mu H2 maps e^{i theta} to sqrt(1 + mu^2) cos(theta - arctan mu), so
     # the angles arctan mu +- 0.7 nearly meet in the first weight's spectrum
     # and its eigenvectors mix them; only that matrix may take the second weight
@@ -103,7 +103,7 @@ def test_unitary_eigvals_falls_back_on_near_collision(monkeypatch):
         return eigh(H)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    lam = _unitary_eigvals(stack)
+    lam = _eig_stack(stack, unitary=True)[1]
     H1 = (collide + collide.conj().T) / 2.0
     H2 = (collide - collide.conj().T) / 2.0j
     assert [len(H) for H in calls] == [4, 1]
@@ -117,11 +117,14 @@ def test_unitary_eigvals_falls_back_on_near_collision(monkeypatch):
                            np.sort(np.angle(eig_normal(X).eigenvalues)), atol=1e-12)
 
 
-def test_unitary_eigvals_gates_every_matrix():
+def test_eig_stack_unitary_gate_checks_every_matrix():
     stack = np.array([np.eye(3), 2.0 * np.eye(3)], dtype=complex)
     with pytest.raises(NotInSpace):
-        _unitary_eigvals(stack)
-    lam = _unitary_eigvals(np.array([np.eye(2), np.diag([1j, -1j])], dtype=complex))
+        _eig_stack(stack, unitary=True)
+    # the near-unitary gate runs before the normality gate
+    with pytest.raises(NotInSpace):
+        _eig_stack(np.array([[[1.0, 1.0], [0.0, 1.0]]], dtype=complex), unitary=True)
+    lam = _eig_stack(np.array([np.eye(2), np.diag([1j, -1j])], dtype=complex), unitary=True)[1]
     assert np.array_equal(lam[0], [1, 1]) and np.array_equal(np.sort_complex(lam[1]), [-1j, 1j])
 
 
@@ -166,6 +169,7 @@ def test_cluster_angles_wraparound():
     assert sizes == [1, 2]
     merged = next(c for c in clusters if len(c) == 2)
     assert set(merged) == {0, 1}
+    assert cluster_angles([], CLUSTER_TOL) == []
 
 
 def test_matrix_json_roundtrip():
@@ -205,3 +209,7 @@ def test_as_matrix_takes_views_whose_last_axis_is_strided():
 def test_matrix_json_rejects_bad_shape():
     with pytest.raises(ValueError):
         matrix_from_json({"n": 2, "entries": [[1.0, 0.0]]})
+    with pytest.raises(ValueError, match="square"):
+        as_matrix(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="at least 1"):
+        as_matrix(np.zeros((0, 0)))

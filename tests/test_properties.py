@@ -9,7 +9,7 @@ from lscat.cover import _margins, classify, default_cover
 from lscat.linalg_core import (
     _MIX_WEIGHTS,
     CLUSTER_TOL,
-    _unitary_eigvals,
+    _eig_stack,
     angular_distance,
     eig_normal,
 )
@@ -90,7 +90,7 @@ def _member_stacks(draw):
 def test_stacked_margins_equal_per_point_classify(case):
     kind, stack = case
     config = default_cover(kind)
-    margins = _margins(config, np.angle(_unitary_eigvals(stack)))
+    margins = _margins(config, np.angle(_eig_stack(stack, unitary=True)[1]))
     for X, row in zip(stack, margins):
         assert is_member(kind, X).member
         cls = classify(config, SpacePoint(kind, X))

@@ -21,6 +21,8 @@ from lscat.spaces import (
 
 def test_structural_J_small():
     assert np.array_equal(structural_J(1), np.array([[0, -1], [1, 0]], dtype=complex))
+    with pytest.raises(ValueError):
+        structural_J(0)
 
 
 def test_structural_J_identities():
