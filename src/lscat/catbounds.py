@@ -40,7 +40,6 @@ class ClassicalFamily(str, Enum):
 class KahlerFlag(str, Enum):
     YES = "yes"
     NO = "no"
-    CONDITIONAL = "conditional"
 
 
 @dataclass(frozen=True)

@@ -112,7 +112,7 @@ def multiplicity_audit(point: SpacePoint) -> list[tuple[complex, int]]:
         raise NotInSpace(
             f"input fails the membership laws (max residual {report.max_residual:.3e})"
         )
-    eig = _eig_stack(point.matrix[None], unitary=True)[1][0]
+    eig = _eig_stack(point.matrix[None])[1][0]
     angles = np.angle(eig)
     out = []
     for cluster in cluster_angles(angles, CLUSTER_TOL):

@@ -50,7 +50,7 @@ from .linalg_core import (
     eig_normal,
     frobenius,
 )
-from .spaces import Family, SpaceKind, SpacePoint, is_member, structural_J
+from .spaces import Family, SpaceKind, SpacePoint, _law_residuals, is_member, structural_J
 
 
 @dataclass(frozen=True)
@@ -128,13 +128,11 @@ def factor_skew(X) -> FactorizationResult:
     if m % 2:
         raise DimensionMismatch("skew special unitary matrices have even side")
     n = m // 2
-    unitarity = frobenius(X @ X.conj().T - np.eye(m))
-    determinant = float(abs(np.linalg.det(X) - 1.0))
-    skewness = frobenius(X.T + X)
-    if max(unitarity, determinant, skewness) > MEMBERSHIP_TOL:
+    residuals = _law_residuals(X, -X)
+    if max(residuals) > MEMBERSHIP_TOL:
         raise NotInSpace(
             "input is not a skew-symmetric special unitary matrix "
-            f"(residuals {unitarity:.3e}/{determinant:.3e}/{skewness:.3e})"
+            "(residuals {:.3e}/{:.3e}/{:.3e})".format(*residuals)
         )
 
     dec = eig_normal(X)

@@ -29,7 +29,7 @@ from .linalg_core import (
     _sorted_basis,
     as_matrix,
 )
-from .spaces import MembershipReport, SpaceKind, SpacePoint, is_member
+from .spaces import MembershipReport, SpacePoint, is_member
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,6 @@ class PathSample:
 class HomotopyPath:
     """Sampled contraction from source to the scalar matrix target."""
 
-    kind: SpaceKind
     source: SpacePoint
     target_scalar: complex
     samples: tuple[PathSample, ...]
@@ -140,7 +139,5 @@ def contract(point: SpacePoint, alpha: float, steps: int = 16) -> HomotopyPath:
     the path provably stays inside the space.
     """
     target_scalar, samples = _contraction(point, alpha, steps)
-    return HomotopyPath(
-        kind=point.kind, source=point, target_scalar=target_scalar, samples=tuple(samples)
-    )
+    return HomotopyPath(source=point, target_scalar=target_scalar, samples=tuple(samples))
 

@@ -14,8 +14,8 @@ degenerate combination for one weight is broken by the next.
 One loop over the weights solves a whole (T, m, m) stack: the first
 weight takes every matrix, and each later weight retries only the
 matrices the weight before it failed, gating X as near-unitary on request.
-eig_normal runs it on a stack of one; the cover's margins read the
-eigenvalues of a whole stack.
+The cover's margins read a whole stack in the solver's order; eig_normal
+and the branch logarithm sort the eigenpairs of a stack of one.
 
 Matrices are plain numpy complex arrays; operations are pure and never
 modify their inputs.  The gates are the fixed constants MEMBERSHIP_TOL,
@@ -25,6 +25,7 @@ Frobenius norm of the input, falling back to absolute for zero input.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,12 +113,9 @@ def cluster_angles(angles, tol: float) -> list[np.ndarray]:
 
 
 def _sorted_basis(V, lam) -> tuple[np.ndarray, np.ndarray]:
-    """One matrix's eigenpairs in EigenDecomposition's order, V re-orthonormalized on drift."""
+    """One matrix's eigenpairs from _eig_stack, sorted into EigenDecomposition's order."""
     order = np.lexsort((lam.imag, np.angle(lam)))
-    V, lam = V[:, order], lam[order]
-    if frobenius(V @ V.conj().T - np.eye(V.shape[0])) > MEMBERSHIP_TOL:
-        V, _ = np.linalg.qr(V)
-    return V, lam
+    return V[:, order], lam[order]
 
 
 def _eig_stack(X, unitary: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -130,20 +128,21 @@ def _eig_stack(X, unitary: bool = False) -> tuple[np.ndarray, np.ndarray]:
     first weight solves the whole stack; each later weight retries only
     the matrices that failed the weight before it.
 
-    Returns (V, lam) with X[t] V[t] = V[t] diag(lam[t]).  A matrix the first
-    weight accepts keeps the solver's order; one a later weight accepts goes
-    through _sorted_basis, as eig_normal returns it.  With unitary set, raises
-    NotUnitary unless every ||X X* - E|| is within 100 * MEMBERSHIP_TOL *
-    max(||X||, 1), on the X X* the next gate reads.  Raises NotNormal when some
+    Returns (V, lam) with X[t] V[t] = V[t] diag(lam[t]), each row in the order
+    of the mixed spectrum that accepted it; eigh keeps V unitary to working
+    precision.  With unitary set, raises NotUnitary unless every ||X X* - E||
+    is within 100 * MEMBERSHIP_TOL * max(||X||, 1), on the X X* the next gate
+    reads; an overflowing X X* fails it quietly.  Raises NotNormal when some
     commutator residual exceeds 100 * MEMBERSHIP_TOL (relative), and
     NoConvergence when every weight fails the residual check for some matrix.
     """
     Xh = X.conj().swapaxes(1, 2)
-    s = _norms(X)
-    XXh = X @ Xh
     tol = 100.0 * MEMBERSHIP_TOL
-    if unitary and not (_norms(XXh - np.eye(X.shape[-1])) <= tol * np.maximum(s, 1.0)).all():
-        raise NotUnitary("matrix is not unitary")
+    with np.errstate(over="ignore", invalid="ignore") if unitary else nullcontext():
+        s = _norms(X)
+        XXh = X @ Xh
+        if unitary and not (_norms(XXh - np.eye(X.shape[-1])) <= tol * np.maximum(s, 1.0)).all():
+            raise NotUnitary("matrix is not unitary")
     if (_norms(XXh - Xh @ X) > tol * s * s).any():
         raise NotNormal("matrix does not commute with its conjugate transpose")
 
@@ -158,9 +157,8 @@ def _eig_stack(X, unitary: bool = False) -> tuple[np.ndarray, np.ndarray]:
         failed = _norms(XVr - Vr * lr[:, None, :]) > MEMBERSHIP_TOL * s[rows]
         if V is None:
             V, lam = Vr, lr
-        else:  # a retried matrix comes back as eig_normal returns it
-            for t, Vt, lt in zip(rows, Vr, lr):
-                V[t], lam[t] = _sorted_basis(Vt, lt)
+        else:
+            V[rows], lam[rows] = Vr, lr
         rows = np.arange(len(X))[rows][failed]
         if rows.size == 0:
             return V, lam

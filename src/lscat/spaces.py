@@ -14,6 +14,7 @@ one-matrix draw bit for bit.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
@@ -111,26 +112,32 @@ def structural_J(n: int) -> np.ndarray:
     return J
 
 
+def _law_residuals(X, twin) -> tuple[float, ...]:
+    """||X X* - E||, |det X - 1| and ||tX - twin|| of a finite X; inf where they overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):  # X is finite: a nan is an overflow
+        r = (frobenius(X @ X.conj().T - np.eye(len(X))), float(abs(np.linalg.det(X) - 1.0)),
+             frobenius(X.T - twin))
+    return tuple(math.inf if math.isnan(x) else x for x in r)
+
+
 def is_member(kind: SpaceKind, X) -> MembershipReport:
     """Check the three membership laws and report individual residuals.
 
     Unitarity ||X X* - E||, determinant |det X - 1|, and the family's
     symmetry law: ||tX - X|| for AI, ||tX - J X tJ|| for AII.  The verdict
-    is true when all residuals are at most MEMBERSHIP_TOL.
+    is true when all residuals, inf where they overflow, are at most MEMBERSHIP_TOL.
     """
     X = as_matrix(X)
     m = kind.ambient_size
     if X.shape[0] != m:
         raise DimensionMismatch(f"expected side {m}, got {X.shape[0]}")
-    unitarity = frobenius(X @ X.conj().T - np.eye(m))
-    determinant = float(abs(np.linalg.det(X) - 1.0))
     if kind.family is Family.AI:
-        symmetry = frobenius(X.T - X)
+        twin = X
     else:
         n = kind.n  # J X tJ is the signed block swap [[X22, -X21], [-X12, X11]]
-        symmetry = frobenius(X.T - np.block([[X[n:, n:], -X[n:, :n]], [-X[:n, n:], X[:n, :n]]]))
-    member = max(unitarity, determinant, symmetry) <= MEMBERSHIP_TOL
-    return MembershipReport(unitarity, determinant, symmetry, member)
+        twin = np.block([[X[n:, n:], -X[n:, :n]], [-X[:n, n:], X[:n, :n]]])
+    residuals = _law_residuals(X, twin)
+    return MembershipReport(*residuals, max(residuals) <= MEMBERSHIP_TOL)
 
 
 #: Complex entries per array of one stacked draw.

@@ -399,3 +399,32 @@ def test_sample_memory_is_flat_in_count():
         finally:
             tracemalloc.stop()
     assert peaks[1] < 3 * peaks[0]
+
+
+@pytest.mark.parametrize("record", [
+    # every entry squares past the float range
+    {"family": "AI", "n": 2, "matrix": {"n": 2, "entries": [[1e160, 0]] * 4}},
+    {"family": "AII", "n": 1,
+     "matrix": {"n": 2, "entries": [[1e160, 1e160], [-1e300, 0], [1.7e308, 0], [1e160, -1e160]]}},
+])
+def test_overflowing_record_is_rejected_quietly(capsys, tmp_path, record):
+    # a unitary matrix has no entry above 1 in modulus, so each residual of such
+    # a record overflows: the verdicts stand, with inf residuals and no numpy warning
+    path = tmp_path / "huge.ndjson"
+    path.write_text(json.dumps(record) + "\n")
+    code, out, err = invoke(capsys, ["check", "--input", str(path)])
+    assert code == 0
+    report = json.loads(out)
+    assert report["member"] is False
+    residuals = [report[law] for law in ("unitarity", "determinant", "symmetry")]
+    assert not np.isnan(residuals).any() and report["unitarity"] == np.inf
+    assert err == f"checked membership; worst residual {max(residuals):.3e}\n"
+    code, out, err = invoke(capsys, ["factor", "--input", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: input is not a") and "nan" not in err
+    assert err.count("\n") == 1
+    for argv in (["cover"], ["log", "--alpha", "0"], ["log", "--alpha-from-cover"],
+                 ["contract", "--alpha-from-cover"]):
+        assert invoke(capsys, [*argv, "--input", str(path)]) == (
+            1, "", "error: matrix is not unitary\n"
+        )

@@ -1,10 +1,12 @@
 """Tests for the eigenvalue-avoidance cover, classification, and audits."""
 
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from lscat.cli import run
 from lscat.cover import (
     classify,
     cover_audit,
@@ -13,7 +15,15 @@ from lscat.cover import (
 )
 from lscat.errors import BranchViolation, DimensionMismatch, NotInSpace
 from lscat.homotopy import branch_log
-from lscat.spaces import Family, SpaceKind, SpacePoint, is_member, sample, sample_points
+from lscat.spaces import (
+    Family,
+    SpaceKind,
+    SpacePoint,
+    is_member,
+    point_to_json,
+    sample,
+    sample_points,
+)
 
 TWO_PI = 2 * np.pi
 
@@ -190,3 +200,31 @@ def test_cover_audit_memory_is_flat():
         finally:
             tracemalloc.stop()
     assert peaks[1] < 3 * peaks[0]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 7, 10])
+def test_extremal_points_sit_on_the_margin_floor(capsys, tmp_path, n):
+    # Some lambda_r of the default cover is at least pi/(2n) from every
+    # eigenvalue of a member, and these points attain that floor.  Their n
+    # margins tie to roundoff, so the witness index is not pinned.
+    floor = np.pi / (2 * n)
+    r = np.arange(n)
+    ai = np.exp(1j * np.pi * (2 * r if n % 2 else 2 * r + 1) / n)
+    D = np.exp(2j * np.pi * r / n)
+    O, _ = np.linalg.qr(np.random.default_rng(n).standard_normal((n, n)))
+    points = [
+        SpacePoint(SpaceKind.ai(n), np.diag(ai)),
+        SpacePoint(SpaceKind.ai(n), (O * ai) @ O.T),
+        SpacePoint(SpaceKind.aii(n), np.diag(np.concatenate([D, D]))),
+    ]
+    path = tmp_path / "extremal.ndjson"
+    path.write_text("".join(json.dumps(point_to_json(p)) + "\n" for p in points))
+    for point in points:
+        assert is_member(point.kind, point.matrix).member
+        config = default_cover(point.kind)
+        cls = classify(config, point)
+        assert abs(cls.margins[cls.witness] - floor) < 1e-12
+        alpha = float(np.angle(config.lambdas[cls.witness]))
+        assert abs(branch_log(point.matrix, alpha).margin - floor) < 1e-12
+    assert run(["contract", "--alpha-from-cover", "--steps", "4", "--input", str(path)]) == 0
+    assert capsys.readouterr().out.count("\n") == len(points)
