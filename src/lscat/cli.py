@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from collections.abc import Iterator
 
@@ -44,7 +45,7 @@ _MAX_SIDE = 4096
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj))
+    print(json.dumps(obj, allow_nan=False))
 
 
 def _note(msg: str) -> None:
@@ -140,14 +141,12 @@ def _points_from_input(parser, args) -> Iterator[SpacePoint]:
 
 
 def _membership_json(point: SpacePoint, report) -> dict:
-    return {
-        "family": point.kind.family.value,
-        "n": point.kind.n,
-        "member": report.member,
-        "unitarity": report.unitarity,
-        "determinant": report.determinant,
-        "symmetry": report.symmetry,
-    }
+    """The report as RFC 8259 JSON, which has no infinity: an overflowed residual is null."""
+    doc = {"family": point.kind.family.value, "n": point.kind.n, "member": report.member}
+    for law in ("unitarity", "determinant", "symmetry"):
+        residual = getattr(report, law)
+        doc[law] = residual if math.isfinite(residual) else None
+    return doc
 
 
 def _resolve_alpha(args, point: SpacePoint) -> float:
@@ -213,17 +212,10 @@ def _cmd_contract(parser, args) -> int:
         worst = 0.0
         separator = "["
         for s in samples:
-            record = {
-                "s": s.s,
-                "matrix": matrix_to_json(s.point.matrix),
-                "residuals": {
-                    "unitarity": s.residuals.unitarity,
-                    "determinant": s.residuals.determinant,
-                    "symmetry": s.residuals.symmetry,
-                    "member": s.residuals.member,
-                },
-            }
-            sys.stdout.write(separator + json.dumps(record))
+            # vars(report) holds unitarity, determinant, symmetry and member, in that order
+            record = {"s": s.s, "matrix": matrix_to_json(s.point.matrix),
+                      "residuals": vars(s.residuals)}
+            sys.stdout.write(separator + json.dumps(record, allow_nan=False))
             separator = ", "
             worst = max(worst, s.residuals.max_residual)
         sys.stdout.write("]\n")

@@ -12,8 +12,8 @@ Classification needs only the eigenvalue angles of a point.  One function
 of the angles gives the margins of a whole stack of spectra, and the audit
 draws, solves and classifies its samples as (c, m, m) stacks of at most
 2^16 complex entries per array, so its memory does not grow with the
-number of trials.  eig_normal's solver loop forms the spectra of a whole
-stack and gates each matrix as near-unitary, raising NotUnitary.
+number of trials.  The eigensolver forms the spectra of a whole stack in
+one solve and gates each matrix as near-unitary, raising NotUnitary.
 """
 
 from __future__ import annotations

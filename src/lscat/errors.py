@@ -19,7 +19,7 @@ class NotNormal(LscatError):
 
 
 class NoConvergence(LscatError):
-    """An iterative kernel failed its residual check on every retry."""
+    """A kernel's result failed its final residual check."""
 
 
 class NotSkewHermitian(LscatError):

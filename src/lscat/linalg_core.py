@@ -6,16 +6,13 @@ inputs), from which every spectrum of a point is read, and the matrix
 exponential of a skew-Hermitian matrix.
 
 Everything is reduced to Hermitian eigensolves: a normal matrix splits into
-commuting Hermitian parts, and a single solve of a generically weighted
-combination recovers a joint eigenbasis.  The weight is drawn from a fixed
-list of incommensurate constants, so results are deterministic and a
-degenerate combination for one weight is broken by the next.
-
-One loop over the weights solves a whole (T, m, m) stack: the first
-weight takes every matrix, and each later weight retries only the
-matrices the weight before it failed, gating X as near-unitary on request.
-The cover's margins read a whole stack in the solver's order; eig_normal
-and the branch logarithm sort the eigenpairs of a stack of one.
+commuting Hermitian parts, and a solve of a weighted combination recovers a
+joint eigenbasis.  One solve of the first fixed weight takes a whole
+(T, m, m) stack.  A weight can fold two eigenvalues together, so a matrix
+failing its residual check is refined by Rayleigh-Ritz with the second
+weight, which cannot fold the same pair.  The cover's margins read a whole
+stack in the solver's order; eig_normal and the branch logarithm sort the
+eigenpairs of a stack of one.
 
 Matrices are plain numpy complex arrays; operations are pure and never
 modify their inputs.  The gates are the fixed constants MEMBERSHIP_TOL,
@@ -25,7 +22,6 @@ Frobenius norm of the input, falling back to absolute for zero input.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,15 +30,11 @@ from .errors import NoConvergence, NotNormal, NotSkewHermitian, NotUnitary
 
 TWO_PI = 2.0 * np.pi
 
-# Mixing weights for the generic-combination trick in _eig_stack.
-# Irrational and pairwise incommensurate.
+# Mixing weights for the generic-combination trick in _eig_stack: the
+# solve and the Rayleigh-Ritz refinement.  Irrational and incommensurate.
 _MIX_WEIGHTS = (
     0.7853981633974483,   # pi/4
     1.618033988749895,    # golden ratio
-    0.5772156649015329,   # Euler-Mascheroni
-    2.302585092994046,    # ln 10
-    0.36787944117144233,  # 1/e
-    3.141592653589793,    # pi
 )
 
 
@@ -122,47 +114,61 @@ def _eig_stack(X, unitary: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvectors and eigenvalues of each matrix of a (T, m, m) normal stack.
 
     Splits each X = H1 + i H2 with H1, H2 commuting Hermitian and solves
-    the Hermitian problem for H1 + mu H2 with a generic weight mu; the
-    joint eigenbasis diagonalizes X.  Eigenvalues are recovered as Rayleigh
-    quotients and a matrix is accepted only after a residual check.  The
-    first weight solves the whole stack; each later weight retries only
-    the matrices that failed the weight before it.
+    the Hermitian problem for H1 + mu H2, mu the first weight, over the
+    whole stack; the joint eigenbasis diagonalizes X.  Eigenvalues are
+    Rayleigh quotients, accepted only after a residual check.  The weight
+    maps the angles arctan(mu) +- delta to one mixed eigenvalue, so a
+    matrix failing the check is refined by Rayleigh-Ritz: where consecutive
+    mixed eigenvalues are more than CLUSTER_TOL * max(1, max|w|) apart, its
+    columns split into blocks V_b, each rotated by the eigenvectors of
+    V_b* (H1 + mu' H2) V_b for the second weight mu' where that lowers the
+    block's residual; the refined matrix faces the same check.  X is first
+    scaled exactly (ldexp) to entries below 2, so no product overflows.
 
-    Returns (V, lam) with X[t] V[t] = V[t] diag(lam[t]), each row in the order
-    of the mixed spectrum that accepted it; eigh keeps V unitary to working
-    precision.  With unitary set, raises NotUnitary unless every ||X X* - E||
-    is within 100 * MEMBERSHIP_TOL * max(||X||, 1), on the X X* the next gate
-    reads; an overflowing X X* fails it quietly.  Raises NotNormal when some
+    Returns (V, lam) with X[t] V[t] = V[t] diag(lam[t]), rows in the first
+    weight's order; eigh keeps V unitary to working precision.  With
+    unitary set, raises NotUnitary unless every ||X X* - E|| is within
+    100 * MEMBERSHIP_TOL * max(||X||, 1).  Raises NotNormal when some
     commutator residual exceeds 100 * MEMBERSHIP_TOL (relative), and
-    NoConvergence when every weight fails the residual check for some matrix.
+    NoConvergence when a refined matrix fails the residual check.
     """
+    k = np.maximum(np.frexp(np.abs(X).max(axis=(1, 2)))[1] - 1, 0)
+    if k.any():
+        X = np.ldexp(np.ascontiguousarray(X).view(float), -k[:, None, None]).view(complex)
     Xh = X.conj().swapaxes(1, 2)
     tol = 100.0 * MEMBERSHIP_TOL
-    with np.errstate(over="ignore", invalid="ignore") if unitary else nullcontext():
-        s = _norms(X)
-        XXh = X @ Xh
-        if unitary and not (_norms(XXh - np.eye(X.shape[-1])) <= tol * np.maximum(s, 1.0)).all():
-            raise NotUnitary("matrix is not unitary")
+    s = _norms(X)
+    XXh = X @ Xh
+    # an entry of modulus 2 or more (k > 0) puts ||X X* - E|| >= 3 past the gate below side 1e14
+    if unitary and not ((k == 0) & (_norms(XXh - np.eye(X.shape[-1]))
+                                    <= tol * np.maximum(s, 1.0))).all():
+        raise NotUnitary("matrix is not unitary")
     if (_norms(XXh - Xh @ X) > tol * s * s).any():
         raise NotNormal("matrix does not commute with its conjugate transpose")
 
     H1 = (X + Xh) / 2.0
     H2 = (X - Xh) / 2.0j
-    rows = slice(None)  # the first weight takes the whole stack, without a gather
-    V = lam = None
-    for mu in _MIX_WEIGHTS:
-        _, Vr = np.linalg.eigh(H1[rows] + mu * H2[rows])
-        XVr = X[rows] @ Vr
-        lr = np.einsum("tij,tij->tj", Vr.conj(), XVr)
-        failed = _norms(XVr - Vr * lr[:, None, :]) > MEMBERSHIP_TOL * s[rows]
-        if V is None:
-            V, lam = Vr, lr
-        else:
-            V[rows], lam[rows] = Vr, lr
-        rows = np.arange(len(X))[rows][failed]
-        if rows.size == 0:
-            return V, lam
-    raise NoConvergence("no mixing weight separated the spectrum")
+    w, V = np.linalg.eigh(H1 + _MIX_WEIGHTS[0] * H2)
+    lam, r = _ritz(X, V)
+    for t in np.flatnonzero(r > MEMBERSHIP_TOL * s):
+        mixed = H1[t] + _MIX_WEIGHTS[1] * H2[t]
+        gaps = np.diff(w[t]) > CLUSTER_TOL * max(1.0, np.abs(w[t]).max())
+        for b in np.split(np.arange(X.shape[-1]), np.flatnonzero(gaps) + 1):
+            Vb = V[t][:, b]
+            Ub = Vb @ np.linalg.eigh(Vb.conj().T @ mixed @ Vb)[1]
+            # mu' cannot fold the pair mu folded, but may fold a close pair mu kept apart
+            V[t][:, b] = min(Vb, Ub, key=lambda U: _ritz(X[t], U)[1])
+        lam[t], r[t] = _ritz(X[t], V[t])
+        if r[t] > MEMBERSHIP_TOL * s[t]:
+            raise NoConvergence("no mixing weight separated the spectrum")
+    return V, np.ldexp(lam.view(float), k[:, None]).view(complex)
+
+
+def _ritz(X, V) -> tuple[np.ndarray, np.ndarray]:
+    """Rayleigh quotients of V's columns under X, and the residual ||X V - V diag(lam)||."""
+    XV = X @ V
+    lam = np.einsum("...ij,...ij->...j", V.conj(), XV)
+    return lam, _norms(XV - V * lam[..., None, :])
 
 
 def eig_normal(X) -> EigenDecomposition:

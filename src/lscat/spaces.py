@@ -135,7 +135,8 @@ def is_member(kind: SpaceKind, X) -> MembershipReport:
         twin = X
     else:
         n = kind.n  # J X tJ is the signed block swap [[X22, -X21], [-X12, X11]]
-        twin = np.block([[X[n:, n:], -X[n:, :n]], [-X[:n, n:], X[:n, :n]]])
+        XJ = np.concatenate([X[:, n:], -X[:, :n]], axis=1)
+        twin = np.concatenate([XJ[n:], -XJ[:n]])
     residuals = _law_residuals(X, twin)
     return MembershipReport(*residuals, max(residuals) <= MEMBERSHIP_TOL)
 

@@ -416,9 +416,11 @@ def test_overflowing_record_is_rejected_quietly(capsys, tmp_path, record):
     assert code == 0
     report = json.loads(out)
     assert report["member"] is False
+    # an overflowed residual is null on stdout and inf in the summary
     residuals = [report[law] for law in ("unitarity", "determinant", "symmetry")]
-    assert not np.isnan(residuals).any() and report["unitarity"] == np.inf
-    assert err == f"checked membership; worst residual {max(residuals):.3e}\n"
+    assert report["unitarity"] is None
+    assert not np.isnan([np.inf if r is None else r for r in residuals]).any()
+    assert err == "checked membership; worst residual inf\n"
     code, out, err = invoke(capsys, ["factor", "--input", str(path)])
     assert (code, out) == (1, "")
     assert err.startswith("error: input is not a") and "nan" not in err
@@ -428,3 +430,48 @@ def test_overflowing_record_is_rejected_quietly(capsys, tmp_path, record):
         assert invoke(capsys, [*argv, "--input", str(path)]) == (
             1, "", "error: matrix is not unitary\n"
         )
+
+
+def strict_json_lines(text):
+    """One document per line, refusing NaN and Infinity, which RFC 8259 JSON does not have."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return [json.loads(line, parse_constant=refuse) for line in text.splitlines()]
+
+
+def test_stdout_is_standard_json(capsys, tmp_path):
+    huge = tmp_path / "huge.ndjson"
+    huge.write_text(json.dumps({"family": "AI", "n": 2,
+                                "matrix": {"n": 2, "entries": [[1e160, 0]] * 4}}) + "\n")
+    code, out, _ = invoke(capsys, ["check", "--input", str(huge)])
+    assert code == 0
+    assert strict_json_lines(out) == [{"family": "AI", "n": 2, "member": False,
+                                       "unitarity": None, "determinant": 1.0, "symmetry": 0.0}]
+    path, out = sample_to_file(capsys, tmp_path, ["--space", "aii", "--n", "2", "--count", "2",
+                                                  "--seed", "3"])
+    outputs = [out]
+    for argv in (["check"], ["factor"], ["log", "--alpha-from-cover"], ["cover"],
+                 ["contract", "--alpha-from-cover", "--steps", "3"]):
+        code, out, _ = invoke(capsys, [*argv, "--input", str(path)])
+        assert code == 0
+        outputs.append(out)
+    for argv in (["cover", "--space", "ai", "--n", "3", "--trials", "50", "--seed", "1"],
+                 ["describe", "--family", "aii", "--params", "13"],
+                 ["table", "--format", "json"]):
+        code, out, _ = invoke(capsys, argv)
+        assert code == 0
+        outputs.append(out)
+    for out in outputs:
+        assert strict_json_lines(out)
+
+
+def test_planted_fold_record_is_solved(capsys):
+    # an AI(13) member with one eigenvalue pair folded by each of six mixing
+    # weights, the solver's two among them (planted_fold in test_linalg_core)
+    path = str(Path(__file__).parent / "data" / "fold_ai13.ndjson")
+    code, out, _ = invoke(capsys, ["check", "--input", path])
+    assert code == 0 and json.loads(out)["member"]
+    for argv in (["cover"], ["contract", "--alpha-from-cover", "--steps", "4"], ["factor"]):
+        code, out, err = invoke(capsys, [*argv, "--input", path])
+        assert code == 0 and out and not err.startswith("error")

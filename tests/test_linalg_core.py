@@ -21,7 +21,10 @@ from lscat.linalg_core import (
     matrix_from_json,
     matrix_to_json,
 )
-from lscat.spaces import SpaceKind, is_member, sample
+from lscat.cover import classify, default_cover, multiplicity_audit
+from lscat.factorizations import factor_aii, factor_symmetric
+from lscat.homotopy import contract
+from lscat.spaces import Family, SpaceKind, SpacePoint, is_member, sample
 
 
 def random_unitary(m, rng):
@@ -86,7 +89,7 @@ def test_eig_normal_rejects_nonnormal():
 def test_eig_stack_falls_back_on_near_collision(monkeypatch):
     # H1 + mu H2 maps e^{i theta} to sqrt(1 + mu^2) cos(theta - arctan mu), so
     # the angles arctan mu +- 0.7 nearly meet in the first weight's spectrum
-    # and its eigenvectors mix them; only that matrix may take the second weight
+    # and its eigenvectors mix them; only that matrix may be refined, block by block
     rng = np.random.default_rng(29)
     m = 8
     phi = np.arctan(_MIX_WEIGHTS[0])
@@ -104,12 +107,12 @@ def test_eig_stack_falls_back_on_near_collision(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     lam = _eig_stack(stack, unitary=True)[1]
-    H1 = (collide + collide.conj().T) / 2.0
-    H2 = (collide - collide.conj().T) / 2.0j
-    assert [len(H) for H in calls] == [4, 1]
-    assert np.array_equal(calls[1][0], H1 + _MIX_WEIGHTS[1] * H2)
+    assert calls[0].shape == (4, m, m)
+    blocks = [H.shape for H in calls[1:]]
+    # one row's columns, split into square blocks each smaller than m
+    assert blocks and all(a == b < m for a, b in blocks) and sum(a for a, _ in blocks) == m
     monkeypatch.undo()
-    # a retried row keeps the solver's order; eig_normal sorts it by argument
+    # a refined row keeps the solver's order; eig_normal sorts it by argument
     order = np.lexsort((lam[2].imag, np.angle(lam[2])))
     assert np.array_equal(lam[2][order], eig_normal(collide).eigenvalues)
     assert np.allclose(np.sort(np.angle(lam[2])), np.sort(np.angle(np.exp(1j * theta))),
@@ -117,6 +120,79 @@ def test_eig_stack_falls_back_on_near_collision(monkeypatch):
     for X, row in zip(stack, lam):
         assert np.allclose(np.sort(np.angle(row)),
                            np.sort(np.angle(eig_normal(X).eigenvalues)), atol=1e-12)
+
+
+@pytest.mark.parametrize("delta", [1e-8, 1e-7, 1e-6])
+def test_refinement_keeps_a_close_pair_the_first_weight_resolved(delta):
+    # the pair arctan(mu) +- 0.7 makes the first weight fail the matrix, and the
+    # close pair astride arctan(mu') is folded by the second weight alone
+    rng = np.random.default_rng(3)
+    m = 8
+    phi, psi = np.arctan(_MIX_WEIGHTS[0]), np.arctan(_MIX_WEIGHTS[1])
+    theta = np.concatenate([[phi + 0.7, phi - 0.7, psi + delta / 2, psi - delta / 2],
+                            rng.uniform(-np.pi, np.pi, m - 4)])
+    theta[-1] -= theta.sum()
+    O, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    X = (O * np.exp(1j * theta)) @ O.T
+    dec = eig_normal(X)
+    assert np.linalg.norm(X - (dec.P * dec.eigenvalues) @ dec.P.conj().T) <= 1e-12
+
+
+#: Six incommensurate weights, the solver's two among them.  A spectrum can
+#: fold one pair for each weight of any finite list.
+_FOLD_WEIGHTS = _MIX_WEIGHTS + (0.5772156649015329, 2.302585092994046, 0.36787944117144233,
+                                np.pi)
+
+
+def planted_fold(kind, seed):
+    """A member of kind whose spectrum holds arctan(mu) +- delta for every mu of _FOLD_WEIGHTS.
+
+    AI(n): O diag(e^{i theta}) tO with O real orthogonal and sum(theta) = 0.
+    AII(n): Q diag(D, D) tQ with Q = [[A, -B], [B, A]] for a Haar U(n) =
+    A + iB, which is real orthogonal and commutes with J, and det D =
+    (-1)^n, the orbit factor_aii factors.  Needs n > 12.
+    """
+    rng = np.random.default_rng(seed)
+    n = kind.n
+    pairs = [np.arctan(mu) + np.array([d, -d])
+             for mu, d in zip(_FOLD_WEIGHTS, rng.uniform(0.2, 2.5, len(_FOLD_WEIGHTS)))]
+    theta = np.concatenate(pairs + [rng.uniform(-np.pi, np.pi, n - 2 * len(pairs))])
+    theta[-1] -= theta.sum() - (np.pi * n if kind.family is Family.AII else 0.0)
+    if kind.family is Family.AI:
+        O, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        return (O * np.exp(1j * theta)) @ O.T
+    U = random_unitary(n, rng)
+    Q = np.block([[U.real, -U.imag], [U.imag, U.real]])
+    return (Q * np.exp(1j * np.concatenate([theta, theta]))) @ Q.T
+
+
+@pytest.mark.parametrize("kind", [SpaceKind.ai(13), SpaceKind.ai(16), SpaceKind.ai(32),
+                                  SpaceKind.ai(64), SpaceKind.aii(13), SpaceKind.aii(16),
+                                  SpaceKind.aii(32)],
+                         ids=lambda kind: f"{kind.family.value}{kind.n}")
+def test_planted_folds_are_solved(kind):
+    # every weight of _FOLD_WEIGHTS, both of the solver's included, folds a pair
+    X = planted_fold(kind, seed=kind.n)
+    assert is_member(kind, X).member
+    dec = eig_normal(X)
+    assert np.linalg.norm(X - (dec.P * dec.eigenvalues) @ dec.P.conj().T) <= 1e-10
+    point = SpacePoint(kind, X)
+    config = default_cover(kind)
+    alpha = float(np.angle(config.lambdas[classify(config, point).witness]))
+    assert len(contract(point, alpha, steps=16).samples) == 17
+    if kind.family is Family.AI:
+        assert factor_symmetric(X).residual <= 1e-10
+    else:
+        assert factor_aii(point).residual <= 1e-10
+        assert sum(count for _, count in multiplicity_audit(point)) == 2 * kind.n
+
+
+def test_eig_normal_gates_overflowing_input():
+    # X X* overflows for both; the gates read X scaled by a power of two, and
+    # pytest's filterwarnings = error turns any numpy warning into a failure
+    with pytest.raises(NotNormal):
+        eig_normal(np.array([[1e160, 1e160], [0.0, 1e160]]))
+    assert np.array_equal(eig_normal(1e160 * np.eye(2)).eigenvalues, [1e160, 1e160])
 
 
 def test_eig_stack_unitary_gate_checks_every_matrix():

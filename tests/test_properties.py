@@ -1,11 +1,14 @@
-"""Property tests: the stacked cover pipeline against one-matrix classification."""
+"""Property tests on structured spectra: the stacked cover pipeline and the factorizations."""
 
 import numpy as np
+import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lscat.cover import _margins, classify, default_cover
+from lscat.errors import ComponentObstruction
+from lscat.factorizations import factor_aii, factor_symmetric
 from lscat.linalg_core import (
     _MIX_WEIGHTS,
     CLUSTER_TOL,
@@ -13,7 +16,7 @@ from lscat.linalg_core import (
     angular_distance,
     eig_normal,
 )
-from lscat.spaces import Family, SpaceKind, SpacePoint, is_member
+from lscat.spaces import Family, SpaceKind, SpacePoint, is_member, structural_J
 
 
 def _parent_margins(config, X):
@@ -48,7 +51,7 @@ def _phases(draw, k):
         theta = [base + spread * draw(st.integers(-2, 2)) for _ in range(k)]
     elif shape == "fold":
         # arctan(mu) +- delta meet in the spectrum of H1 + mu H2 for the first
-        # weight mu, so the stacked solve must hand the matrix to eig_normal
+        # weight mu, so the stacked solve must refine the matrix by Rayleigh-Ritz
         phi = np.arctan(_MIX_WEIGHTS[0])
         delta = draw(st.floats(0.1, 3.0))
         eps = draw(st.sampled_from([0.0, 1e-12, 1e-8]))
@@ -64,15 +67,19 @@ def _phases(draw, k):
 
 @st.composite
 def _member_stacks(draw):
-    """A kind and a stack of its members with structured spectra."""
+    """A kind, a stack of its members with structured spectra, and each member's det d.
+
+    An AII member is U diag(d, d) U* for U in Sp(n); an AI member has no d, and None.
+    """
     kind = SpaceKind(draw(st.sampled_from(list(Family))), draw(st.integers(1, 6)))
     m = kind.ambient_size
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    stack = []
+    stack, dets = [], []
     for _ in range(draw(st.integers(1, 5))):
         if kind.family is Family.AI:
             O, _ = np.linalg.qr(rng.standard_normal((m, m)))
             stack.append((O * draw(_phases(m))) @ O.T)
+            dets.append(None)
         else:
             # diag(d, d) commutes with J; conjugating by Sp(n) keeps tX = J X tJ
             n = kind.n
@@ -81,14 +88,16 @@ def _member_stacks(draw):
             B = (g[1] + g[1].T) / 2.0
             U = scipy.linalg.expm(np.block([[A, -B.conj()], [B, A.conj()]]))
             d = draw(_phases(n))
+            d[0] *= draw(st.sampled_from([1, -1]))  # det d = -1 reaches the other orbit
             stack.append((U * np.concatenate([d, d])) @ U.conj().T)
-    return kind, np.array(stack)
+            dets.append(round(float(np.prod(d).real)))
+    return kind, np.array(stack), dets
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(_member_stacks())
 def test_stacked_margins_equal_per_point_classify(case):
-    kind, stack = case
+    kind, stack, _ = case
     config = default_cover(kind)
     margins = _margins(config, np.angle(_eig_stack(stack, unitary=True)[1]))
     for X, row in zip(stack, margins):
@@ -96,3 +105,25 @@ def test_stacked_margins_equal_per_point_classify(case):
         cls = classify(config, SpacePoint(kind, X))
         assert list(row) == list(cls.margins) == _parent_margins(config, X)
         assert int(np.argmax(row)) == cls.witness
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_member_stacks())
+def test_factorization_round_trip_and_orbit_invariant(case):
+    # AII(n) = Sp-orbits of diag(d, d): factor_aii factors exactly the orbit of J,
+    # where det d = (-1)^n, and raises ComponentObstruction on the other
+    kind, stack, dets = case
+    for X, det_d in zip(stack, dets):
+        if kind.family is Family.AI:
+            result = factor_symmetric(X)
+            product = result.P @ result.P.T
+        elif det_d != (-1) ** kind.n:
+            with pytest.raises(ComponentObstruction):
+                factor_aii(SpacePoint(kind, X))
+            continue
+        else:
+            result = factor_aii(SpacePoint(kind, X))
+            J = structural_J(kind.n)
+            product = J @ result.P @ J @ result.P.T
+        assert np.linalg.norm(X - product) <= 1e-10
+        assert abs(np.linalg.det(result.P) - 1.0) <= 1e-10
