@@ -6,7 +6,10 @@ lambda_1, ..., lambda_n.  The default choice lambda_r = e^{i pi/(2n)}
 e^{2 pi i r/n} keeps the lambdas equally spaced and certifies both
 non-unit-product conditions at once: the plain product is +-i (symmetric
 family) and the squared product is -1 (twisted family), so no member can
-have all the lambdas as eigenvalues and the A_r cover the space.
+have all the lambdas as eigenvalues and the A_r cover the space.  The
+same products give a floor: every member keeps some lambda_r at least
+pi/(2n) from its spectrum, so the witness's branch logarithm cannot meet
+BRANCH_MARGIN while pi/(2n) > BRANCH_MARGIN.
 
 Classification needs only the eigenvalue angles of a point.  One function
 of the angles gives the margins of a whole stack of spectra, and the audit

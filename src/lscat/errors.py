@@ -34,10 +34,6 @@ class NotUnitary(NotInSpace):
     """Input is not unitary, so it fails the first law of either space."""
 
 
-class OddPairingFailure(LscatError):
-    """Conjugation pairing of eigenvectors could not be completed."""
-
-
 class ComponentObstruction(LscatError):
     """Input lies in the component with no special-unitary congruence factor.
 

@@ -5,29 +5,30 @@ factor_skew writes a skew-symmetric special unitary X as P J tP, with
 P special unitary in both cases; factor_aii composes the skew case with
 the twist by J that defines the AII model.
 
-The symmetric algorithm takes the square root Y = V diag(r) V* of X from
-its eigendecomposition X = V diag(e^{i theta}) V*, with r = e^{i theta / 2}
+Both take one principal square root Y = V diag(r) V* of a unitary matrix
+from its eigendecomposition V diag(e^{i theta}) V*, with r = e^{i theta / 2}
 and every theta lifted into one turn that starts in the middle of the
-widest gap of the angles.  The cut is at least pi/n from every angle, so
-no cluster of eigenvalues is split between two branches.  Y is a function
-of X, so it is symmetric and Y tY = X; det Y = prod r is +-1, and on -1
-negating the last column of Y (a right factor Q with Q tQ = E) gives P
-with det P = 1.
+widest gap of the angles.  Y is a primary matrix function, so it is
+unitary and keeps every similarity the transpose makes: tX = A X A^-1
+gives tY = A Y A^-1 (Higham, Mackey, Mackey and Tisseur, SIAM J. Matrix
+Anal. Appl. 26, 2005).
 
-The skew algorithm pairs each eigenvector v (eigenvalue lam) with conj(v)
-(eigenvalue -lam), keeping the one whose angle lies in the half circle
-that starts in the middle of the widest gap of the angles folded mod pi.
-From each kept v it builds the real orthonormal vectors
-w = (v + conj(v))/sqrt(2) and w' = -i(v - conj(v))/sqrt(2), assembles them
-into a rotation B, and scales by C = diag(c, c) with c_k^2 = i lam_k so
-that tB X B = C J tC.
+Symmetric case: Y is the root of X, so tY = Y and Y tY = X.  The cut is
+at least pi/n from every angle, so no cluster of eigenvalues is split
+between two branches, and det Y = prod r is +-1; on -1 negating the last
+column of Y (a right factor Q with Q tQ = E) gives P with det P = 1.
 
-A genuine obstruction lives in the skew case: det(B C) = (prod c_k)^2 is
-+-1 and a congruence invariant of X, and the skew special unitary matrices
-split into two orbits accordingly.  Only the orbit of J itself (the one
-containing every sampled AII pullback) admits P in SU(2n), so factor_skew
-decides by the sign of det(B C) and raises ComponentObstruction on -1
-before building any factor.
+Skew case: M = X tJ obeys tM = J M tJ and det M = 1, so M is a member of
+AII(n), and its root S obeys tS = J S tJ, whence S J tS = -S S tJ = X.
+The eigenvalues of M come in Kramers pairs, at most n points on the
+circle, so the cut is at least pi/n from each and both eigenvalues of a
+pair take the same root: det S is +-1.  A genuine obstruction lives here.
+Any factor P of X gives Q = S^-1 P with Q J tQ = J; a complex symplectic
+Q has det Q = 1, so det P = det S is a congruence invariant of X that
+splits the skew special unitary matrices into two orbits.  Only the
+orbit of J itself (the one containing every sampled AII pullback) admits
+P in SU(2n): factor_skew returns P = S there and raises
+ComponentObstruction when det S = -1.
 """
 
 from __future__ import annotations
@@ -36,20 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ComponentObstruction,
-    DimensionMismatch,
-    NoConvergence,
-    NotInSpace,
-    OddPairingFailure,
-)
-from .linalg_core import (
-    MEMBERSHIP_TOL,
-    TWO_PI,
-    as_matrix,
-    eig_normal,
-    frobenius,
-)
+from .errors import ComponentObstruction, DimensionMismatch, NoConvergence, NotInSpace
+from .linalg_core import MEMBERSHIP_TOL, TWO_PI, as_matrix, eig_normal, frobenius
 from .spaces import Family, SpaceKind, SpacePoint, _law_residuals, is_member, structural_J
 
 
@@ -61,16 +50,21 @@ class FactorizationResult:
     residual: float
 
 
-def _widest_gap_cut(angles, period: float) -> float:
-    """Middle of the widest gap between the angles taken mod period.
+def _principal_root(X) -> tuple[np.ndarray, complex]:
+    """The square root Y of a unitary X, and det Y.
 
-    m points on a circle of length period leave a gap of at least
-    period/m, so every angle lies at least period/(2m) from the cut.
+    The cut sits in the middle of the widest gap of the angles: m points on
+    the circle leave a gap of at least 2 pi/m, so every angle lies at least
+    pi/m from the cut.
     """
-    folded = np.sort(np.mod(angles, period))
-    gaps = np.diff(folded, append=folded[0] + period)
+    dec = eig_normal(X)
+    angles = np.angle(dec.eigenvalues)
+    folded = np.sort(np.mod(angles, TWO_PI))
+    gaps = np.diff(folded, append=folded[0] + TWO_PI)
     widest = int(np.argmax(gaps))
-    return folded[widest] + gaps[widest] / 2.0
+    cut = folded[widest] + gaps[widest] / 2.0
+    roots = np.exp(0.5j * (cut + np.mod(angles - cut, TWO_PI)))
+    return (dec.P * roots) @ dec.P.conj().T, np.prod(roots)
 
 
 def factor_symmetric(X) -> FactorizationResult:
@@ -84,37 +78,15 @@ def factor_symmetric(X) -> FactorizationResult:
             f"(max residual {report.max_residual:.3e})"
         )
 
-    dec = eig_normal(X)
-    angles = np.angle(dec.eigenvalues)
-    cut = _widest_gap_cut(angles, TWO_PI)
-    roots = np.exp(0.5j * (cut + np.mod(angles - cut, TWO_PI)))
-    P = (dec.P * roots) @ dec.P.conj().T
-    # prod(roots)^2 = det X = 1, so prod(roots) is +-1 up to roundoff.
-    if np.prod(roots).real < 0.0:
+    P, det = _principal_root(X)
+    # det^2 = det X = 1, so det is +-1 up to roundoff.
+    if det.real < 0.0:
         P[:, -1] = -P[:, -1]
 
     residual = frobenius(X - P @ P.T)
     if residual > 10.0 * MEMBERSHIP_TOL * max(frobenius(X), 1.0):
         raise NoConvergence(f"symmetric factorization residual {residual:.3e}")
     return FactorizationResult(P=P, residual=residual)
-
-
-def _conjugation_pairs(X, dec):
-    """Pick one eigenvector per conjugation pair (v, conj v).
-
-    The eigenvalues come in pairs lam, -lam whose angles agree mod pi, so
-    up to roundoff the angles folded mod pi are at most n points on a
-    circle of length pi, and their widest gap is at least pi/n.  Cutting
-    in the middle of that gap and keeping the half circle [cut, cut + pi)
-    picks exactly one eigenvalue of each pair, and every eigenvalue lies
-    at least pi/(2n) from the cut, so roundoff never moves one across it.
-    Returns the chosen eigenvalues and eigenvectors.
-    """
-    angles = np.angle(dec.eigenvalues)
-    cut = _widest_gap_cut(angles, np.pi)
-    vs = dec.P[:, np.mod(angles - cut, TWO_PI) < np.pi]
-    lams = np.einsum("ij,ij->j", vs.conj(), X @ vs)
-    return lams, vs
 
 
 def factor_skew(X) -> FactorizationResult:
@@ -135,32 +107,15 @@ def factor_skew(X) -> FactorizationResult:
             "(residuals {:.3e}/{:.3e}/{:.3e})".format(*residuals)
         )
 
-    dec = eig_normal(X)
-    lams, vs = _conjugation_pairs(X, dec)
-    if lams.shape[0] != n:
-        raise OddPairingFailure(f"expected {n} pairs, found {lams.shape[0]}")
-
-    # Real orthonormal basis, one (w, w') pair per eigenvector.
-    B = np.sqrt(2.0) * np.hstack([vs.real, vs.imag])
-    if frobenius(B.T @ B - np.eye(m)) > 100.0 * MEMBERSHIP_TOL:
-        raise OddPairingFailure("paired basis lost orthonormality")
-
-    if np.linalg.det(B) < 0.0:
-        # Swapping v_1 with conj(v_1) negates lam_1 and the first w' column.
-        lams[0] = -lams[0]
-        B[:, n] = -B[:, n]
-
-    roots = np.exp(0.5j * np.mod(np.angle(1j * lams), TWO_PI))
-    if (np.prod(roots) ** 2).real < 0.0:
+    # M = X tJ as the signed block swap [-X2, X1] of the column halves.
+    P, det = _principal_root(np.concatenate([-X[:, n:], X[:, :n]], axis=1))
+    if det.real < 0.0:
         raise ComponentObstruction(
-            "det(B C) = -1: the input lies in the skew congruence orbit "
-            "that admits no factor P in SU(2n)"
+            "the root of X tJ has det -1: the input lies in the skew "
+            "congruence orbit that admits no factor P in SU(2n)"
         )
 
-    C = np.diag(np.concatenate([roots, roots]))
-    J = structural_J(n)
-    P = B @ C
-    residual = frobenius(X - P @ J @ P.T)
+    residual = frobenius(X - P @ structural_J(n) @ P.T)
     if residual > 10.0 * MEMBERSHIP_TOL * max(frobenius(X), 1.0):
         raise NoConvergence(f"skew factorization residual {residual:.3e}")
     return FactorizationResult(P=P, residual=residual)

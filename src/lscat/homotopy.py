@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchViolation, MembershipDrift
+from .errors import BranchViolation, MembershipDrift, NotInSpace
 from .linalg_core import (
     BRANCH_MARGIN,
     MEMBERSHIP_TOL,
@@ -117,6 +117,9 @@ def _contraction(
             F = (P * np.exp(1j * ((1.0 - s) * theta + s * angle_target))) @ Ph
             report = is_member(kind, F)
             if report.max_residual > 100.0 * MEMBERSHIP_TOL:
+                if i == 0:  # the source re-formed: the input is not a member
+                    raise NotInSpace(f"source is not a member of {kind.family.value}({kind.n}) "
+                                     f"(residual {report.max_residual:.3e})")
                 raise MembershipDrift(
                     f"path point at s={s:g} drifted out of the space "
                     f"(residual {report.max_residual:.3e})"
@@ -135,8 +138,9 @@ def contract(point: SpacePoint, alpha: float, steps: int = 16) -> HomotopyPath:
     scalar target commutes with H = P diag(i theta) P*, so the sample at s
     is P diag(exp(i((1 - s) theta + s 2 pi k / m))) P*, formed on the
     logarithm's one eigendecomposition.  Every sample is re-checked for
-    membership; MembershipDrift indicates an implementation bug, since
-    the path provably stays inside the space.
+    membership: at s = 0, the source itself, a failure raises NotInSpace;
+    later, MembershipDrift indicates an implementation bug, since the path
+    from a member provably stays inside the space.
     """
     target_scalar, samples = _contraction(point, alpha, steps)
     return HomotopyPath(source=point, target_scalar=target_scalar, samples=tuple(samples))

@@ -330,6 +330,16 @@ def test_domain_errors_exit_1(capsys, tmp_path):
         assert code == 1 and out == "" and err.startswith("error:")
 
 
+def test_contract_rejects_unitary_nonmember(capsys, tmp_path):
+    # diag(i, i) has det -1: an input error, not a drifting path
+    bad = tmp_path / "bad.ndjson"
+    doc = {"family": "AI", "n": 2, "matrix": {"n": 2, "entries": [[0, 1], [0, 0], [0, 0], [0, 1]]}}
+    bad.write_text(json.dumps(doc) + "\n")
+    code, out, err = invoke(capsys, ["contract", "--alpha", "0.3", "--input", str(bad)])
+    assert code == 1 and out == ""
+    assert err == "error: source is not a member of AI(2) (residual 2.000e+00)\n"
+
+
 def test_input_records_are_streamed(capsys, tmp_path):
     path, first = sample_to_file(
         capsys, tmp_path, ["--space", "ai", "--n", "2", "--count", "1", "--seed", "4"]

@@ -20,18 +20,6 @@ def assert_special_unitary(P, tol=1e-10):
     assert abs(np.linalg.det(P) - 1.0) <= tol
 
 
-def rotation_and_roots(P):
-    """(B, c) with P = B diag(c, c), read off a skew factor P.
-
-    Column k of P is c_k times a real unit vector, so its squared entries
-    sum to c_k^2; the sign of the root c_k only flips columns k and n + k
-    of B.
-    """
-    n = P.shape[0] // 2
-    c = np.sqrt(np.sum(P[:, :n] ** 2, axis=0))
-    return P / np.concatenate([c, c]), c
-
-
 def test_factor_symmetric_identity():
     res = factor_symmetric(np.eye(4))
     assert res.residual <= 1e-12
@@ -131,8 +119,8 @@ def test_factor_skew_structural_cases():
 
 def test_factor_skew_component_obstruction_odd_n():
     # -J is skew special unitary for every n but factors over SU only for
-    # even n; det(B C) = -1 detects the second congruence orbit, which
-    # also holds the non-diagonal congruences Q(-J)tQ with Q in SU(2n).
+    # even n; the root of X tJ has det -1 on the second congruence orbit,
+    # which also holds the non-diagonal congruences Q(-J)tQ with Q in SU(2n).
     rng = np.random.default_rng(53)
     for n in (1, 3, 5):
         with pytest.raises(ComponentObstruction):
@@ -156,29 +144,23 @@ def test_factor_skew_roundtrips():
         assert_special_unitary(res.P)
 
 
-def test_factor_skew_block_identity():
-    # the rotated input equals the diagonal congruence of J: tB X B = C J tC
+def test_factor_skew_root_is_j_symmetric():
+    # P is the principal root of X tJ, a member of AII(n), so tP = tJ P J
     rng = np.random.default_rng(99)
-    for n in (1, 2, 3):
-        Q = haar_special_unitary(2 * n, rng)
+    for n in (1, 2, 3, 4, 8):
         J = structural_J(n)
-        X = Q @ J @ Q.T
-        B, c = rotation_and_roots(factor_skew(X).P)
-        C = np.diag(np.concatenate([c, c]))
-        assert np.linalg.norm(B.imag) <= 1e-9
-        assert np.linalg.norm(B.real.T @ B.real - np.eye(2 * n)) <= 1e-9
-        assert np.linalg.norm(B.real.T @ X @ B.real - C @ J @ C.T) <= 1e-9
+        for _ in range(5):
+            Q = haar_special_unitary(2 * n, rng)
+            P = factor_skew(Q @ J @ Q.T).P
+            assert np.linalg.norm(P.T - J.T @ P @ J) <= 1e-10
 
 
-def test_factor_skew_det_certificate():
-    rng = np.random.default_rng(47)
-    for i in range(50):
-        n = 1 + i % 4
-        Q = haar_special_unitary(2 * n, rng)
-        X = Q @ structural_J(n) @ Q.T
-        res = factor_skew(X)
-        det_c = np.prod(rotation_and_roots(res.P)[1]) ** 2
-        assert min(abs(det_c - 1.0), abs(det_c + 1.0)) <= 1e-8
+def test_factor_skew_of_j_is_plus_or_minus_identity():
+    # J tJ = E, whose principal root is a sign times E
+    for n in (1, 2, 3, 4, 8):
+        P = factor_skew(structural_J(n)).P
+        E = np.eye(2 * n)
+        assert min(np.linalg.norm(P - E), np.linalg.norm(P + E)) <= 1e-12
 
 
 def test_factor_skew_rejects_bad_inputs():

@@ -50,6 +50,14 @@ def test_branch_log_rejects_nonunitary():
     assert isinstance(info.value, NotInSpace)
 
 
+def test_contract_rejects_unitary_nonmember():
+    # diag(i, i) is unitary and symmetric with det -1: the branch log exists,
+    # and the re-formed source at s = 0 fails the laws of AI(2)
+    point = SpacePoint(SpaceKind.ai(2), np.diag([1j, 1j]))
+    with pytest.raises(NotInSpace, match=r"source is not a member of AI\(2\)"):
+        contract(point, 0.3)
+
+
 def test_branch_log_rejects_non_finite_alpha():
     for alpha in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):

@@ -9,12 +9,15 @@ from hypothesis import strategies as st
 from lscat.cover import _margins, classify, default_cover
 from lscat.errors import ComponentObstruction
 from lscat.factorizations import factor_aii, factor_symmetric
+from lscat.homotopy import branch_log
 from lscat.linalg_core import (
     _MIX_WEIGHTS,
     CLUSTER_TOL,
+    MEMBERSHIP_TOL,
     _eig_stack,
     angular_distance,
     eig_normal,
+    exp_skew_hermitian,
 )
 from lscat.spaces import Family, SpaceKind, SpacePoint, is_member, structural_J
 
@@ -127,3 +130,20 @@ def test_factorization_round_trip_and_orbit_invariant(case):
             product = J @ result.P @ J @ result.P.T
         assert np.linalg.norm(X - product) <= 1e-10
         assert abs(np.linalg.det(result.P) - 1.0) <= 1e-10
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_member_stacks())
+def test_witness_margin_floor_and_log_at_the_witness(case):
+    # every member keeps some lambda_r at least pi/(2n) from its spectrum,
+    # so the logarithm at the witness's angle never meets its cut
+    kind, stack, _ = case
+    config = default_cover(kind)
+    for X in stack:
+        cls = classify(config, SpacePoint(kind, X))
+        assert cls.margins[cls.witness] >= np.pi / (2 * kind.n) - 10 * MEMBERSHIP_TOL
+        bl = branch_log(X, float(np.angle(config.lambdas[cls.witness])))
+        scale = max(np.linalg.norm(X), 1.0)
+        assert np.linalg.norm(exp_skew_hermitian(bl.H) - X) <= 10 * MEMBERSHIP_TOL * scale
+        turns = np.trace(bl.H).imag / (2 * np.pi)
+        assert abs(turns - round(turns)) <= 1e-9
