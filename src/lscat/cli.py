@@ -24,11 +24,11 @@ from collections.abc import Iterator
 import numpy as np
 
 from .catbounds import ClassicalFamily, describe, descriptor_to_json, render_table
-from .cover import classify, cover_audit, default_cover
+from .cover import _margins, classify, cover_audit, default_cover
 from .errors import LscatError
 from .factorizations import factor_aii, factor_symmetric
-from .homotopy import _contraction, branch_log
-from .linalg_core import matrix_from_json, matrix_to_json
+from .homotopy import _branch_log, _contraction
+from .linalg_core import EigenDecomposition, eig_normal, matrix_from_json, matrix_to_json
 from .spaces import (
     Family,
     SpaceKind,
@@ -149,12 +149,14 @@ def _membership_json(point: SpacePoint, report) -> dict:
     return doc
 
 
-def _resolve_alpha(args, point: SpacePoint) -> float:
+def _spectrum(args, point: SpacePoint) -> tuple[EigenDecomposition, float]:
+    """The record's one eig_normal and its branch angle: --alpha, or the cover witness's."""
+    dec = eig_normal(point.matrix)
     if args.alpha is not None:
-        return args.alpha
+        return dec, args.alpha
     config = default_cover(point.kind)
-    cls = classify(config, point)
-    return float(np.angle(config.lambdas[cls.witness])) % (2.0 * np.pi)
+    (row,) = _margins(config, np.angle(dec.eigenvalues)[None])  # argmax: lowest index on ties
+    return dec, float(np.angle(config.lambdas[np.argmax(row)])) % (2.0 * np.pi)
 
 
 def _cmd_sample(parser, args) -> int:
@@ -190,8 +192,7 @@ def _cmd_factor(parser, args) -> int:
 
 def _cmd_log(parser, args) -> int:
     for point in _points_from_input(parser, args):
-        alpha = _resolve_alpha(args, point)
-        bl = branch_log(point.matrix, alpha)
+        bl = _branch_log(*_spectrum(args, point))
         _emit(
             {
                 "H": matrix_to_json(bl.H),
@@ -207,8 +208,7 @@ def _cmd_log(parser, args) -> int:
 def _cmd_contract(parser, args) -> int:
     """One JSON list of samples per point, written element by element."""
     for point in _points_from_input(parser, args):
-        alpha = _resolve_alpha(args, point)
-        target_scalar, samples = _contraction(point, alpha, args.steps)
+        target_scalar, samples = _contraction(point, *_spectrum(args, point), args.steps)
         worst = 0.0
         separator = "["
         for s in samples:

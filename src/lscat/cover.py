@@ -87,7 +87,7 @@ def classify(config: CoverConfig, point: SpacePoint) -> CoverClassification:
         raise DimensionMismatch(
             f"point kind {point.kind} does not match cover kind {config.kind}"
         )
-    (row,) = _margins(config, np.angle(_eig_stack(point.matrix[None], unitary=True)[1]))
+    (row,) = _margins(config, np.angle(_eig_stack(point.matrix[None])[1]))
     margins = tuple(float(margin) for margin in row)
     memberships = tuple(margin >= BRANCH_MARGIN for margin in margins)
     return CoverClassification(
@@ -148,7 +148,7 @@ def cover_audit(kind: SpaceKind, trials: int, seed: int) -> CoverAuditReport:
     covered = 0
     min_witness_margin = np.inf
     for stack in _member_stacks(kind, trials, seed):
-        margins = _margins(config, np.angle(_eig_stack(stack, unitary=True)[1]))
+        margins = _margins(config, np.angle(_eig_stack(stack)[1]))
         hits = margins >= BRANCH_MARGIN
         covered += int(np.count_nonzero(hits.any(axis=1)))
         occupancy += hits.sum(axis=0)

@@ -21,14 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchViolation, MembershipDrift, NotInSpace
-from .linalg_core import (
-    BRANCH_MARGIN,
-    MEMBERSHIP_TOL,
-    TWO_PI,
-    _eig_stack,
-    _sorted_basis,
-    as_matrix,
-)
+from .linalg_core import BRANCH_MARGIN, MEMBERSHIP_TOL, TWO_PI, EigenDecomposition, eig_normal
 from .spaces import MembershipReport, SpacePoint, is_member
 
 
@@ -64,20 +57,18 @@ class HomotopyPath:
     samples: tuple[PathSample, ...]
 
 
-def _lift(X, alpha: float) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """(P, theta, alpha mod 2 pi, margin) of X = P diag(e^{i theta}) P*, as eig_normal finds P."""
+def _lift(dec: EigenDecomposition, alpha: float) -> tuple[np.ndarray, float, float]:
+    """(theta, alpha mod 2 pi, margin) of X = P diag(e^{i theta}) P* for dec = eig_normal(X)."""
     if not np.isfinite(alpha):
         raise ValueError(f"branch angle must be finite, got {alpha!r}")
-    V, lam = _eig_stack(as_matrix(X)[None], unitary=True)
-    P, lam = _sorted_basis(V[0], lam[0])
     alpha = float(np.mod(alpha, TWO_PI))
-    rel = np.mod(np.angle(lam) - alpha, TWO_PI)
+    rel = np.mod(np.angle(dec.eigenvalues) - alpha, TWO_PI)
     margin = float(np.min(np.minimum(rel, TWO_PI - rel)))
     if margin < BRANCH_MARGIN:
         raise BranchViolation(
             f"eigenvalue within {margin:.3e} of the branch point", margin=margin
         )
-    return P, alpha + rel, alpha, margin
+    return alpha + rel, alpha, margin
 
 
 def branch_log(X, alpha: float) -> BranchLog:
@@ -88,17 +79,22 @@ def branch_log(X, alpha: float) -> BranchLog:
     X lies outside the covering set avoiding e^{i alpha}.  A non-finite
     alpha raises ValueError.
     """
-    P, theta, alpha, margin = _lift(X, alpha)
-    H = (P * (1j * theta)) @ P.conj().T
+    return _branch_log(eig_normal(X), alpha)
+
+
+def _branch_log(dec: EigenDecomposition, alpha: float) -> BranchLog:
+    """branch_log of the matrix whose eig_normal is dec."""
+    theta, alpha, margin = _lift(dec, alpha)
+    H = (dec.P * (1j * theta)) @ dec.P.conj().T
     H = (H - H.conj().T) / 2.0
     winding = int(round(float(np.trace(H).imag) / TWO_PI))
     return BranchLog(H=H, alpha=alpha, winding=winding, margin=margin)
 
 
 def _contraction(
-    point: SpacePoint, alpha: float, steps: int
+    point: SpacePoint, dec: EigenDecomposition, alpha: float, steps: int
 ) -> tuple[complex, Iterator[PathSample]]:
-    """The target scalar of contract and a generator of its samples.
+    """contract's target scalar and a generator of its samples, for dec = eig_normal(point.matrix).
 
     The logarithm is taken before returning, so its errors come first; the
     samples are formed and checked one at a time as they are drawn.
@@ -106,20 +102,22 @@ def _contraction(
     if steps < 1:
         raise ValueError("steps must be a positive integer")
     kind = point.kind
-    P, theta, _, _ = _lift(point.matrix, alpha)
+    theta, _, _ = _lift(dec, alpha)
     winding = int(round(float(np.sum(theta)) / TWO_PI))
     angle_target = TWO_PI * winding / kind.ambient_size
 
     def samples() -> Iterator[PathSample]:
-        Ph = P.conj().T
-        for i in range(steps + 1):
+        report = is_member(kind, point.matrix)
+        if not report.member:
+            raise NotInSpace(f"source is not a member of {kind.family.value}({kind.n}) "
+                             f"(residual {report.max_residual:.3e})")
+        yield PathSample(s=0.0, point=point, residuals=report)
+        P, Ph = dec.P, dec.P.conj().T
+        for i in range(1, steps + 1):
             s = i / steps
             F = (P * np.exp(1j * ((1.0 - s) * theta + s * angle_target))) @ Ph
             report = is_member(kind, F)
             if report.max_residual > 100.0 * MEMBERSHIP_TOL:
-                if i == 0:  # the source re-formed: the input is not a member
-                    raise NotInSpace(f"source is not a member of {kind.family.value}({kind.n}) "
-                                     f"(residual {report.max_residual:.3e})")
                 raise MembershipDrift(
                     f"path point at s={s:g} drifted out of the space "
                     f"(residual {report.max_residual:.3e})"
@@ -137,11 +135,11 @@ def contract(point: SpacePoint, alpha: float, steps: int = 16) -> HomotopyPath:
     twisted family pi i k / n, both covered by the same formula.  The
     scalar target commutes with H = P diag(i theta) P*, so the sample at s
     is P diag(exp(i((1 - s) theta + s 2 pi k / m))) P*, formed on the
-    logarithm's one eigendecomposition.  Every sample is re-checked for
-    membership: at s = 0, the source itself, a failure raises NotInSpace;
-    later, MembershipDrift indicates an implementation bug, since the path
-    from a member provably stays inside the space.
+    logarithm's one eigendecomposition.  The sample at s = 0 is the source
+    itself, with its is_member report; a source that is_member rejects
+    raises NotInSpace.  Every later sample is re-checked at 100 *
+    MEMBERSHIP_TOL, and MembershipDrift indicates an implementation bug,
+    since the path from a member provably stays inside the space.
     """
-    target_scalar, samples = _contraction(point, alpha, steps)
+    target_scalar, samples = _contraction(point, eig_normal(point.matrix), alpha, steps)
     return HomotopyPath(source=point, target_scalar=target_scalar, samples=tuple(samples))
-

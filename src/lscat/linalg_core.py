@@ -1,18 +1,18 @@
 """Dense complex matrix kernels shared by the whole package.
 
 Two operations carry all the analytic weight elsewhere: an
-eigendecomposition for normal matrices (unitary and skew-Hermitian
-inputs), from which every spectrum of a point is read, and the matrix
-exponential of a skew-Hermitian matrix.
+eigendecomposition of unitary matrices, from which every spectrum of a
+point is read, and the matrix exponential of a skew-Hermitian matrix.
 
-Everything is reduced to Hermitian eigensolves: a normal matrix splits into
-commuting Hermitian parts, and a solve of a weighted combination recovers a
-joint eigenbasis.  One solve of the first fixed weight takes a whole
-(T, m, m) stack.  A weight can fold two eigenvalues together, so a matrix
-failing its residual check is refined by Rayleigh-Ritz with the second
-weight, which cannot fold the same pair.  The cover's margins read a whole
-stack in the solver's order; eig_normal and the branch logarithm sort the
-eigenpairs of a stack of one.
+Everything is reduced to Hermitian eigensolves: a unitary matrix splits
+into commuting Hermitian parts, and a solve of a weighted combination
+recovers a joint eigenbasis.  One solve of the first fixed weight takes a
+whole (T, m, m) stack, each matrix gated as near-unitary.  A weight can
+fold two eigenvalues together, so a matrix failing its residual check is
+refined by Rayleigh-Ritz with the second weight, which cannot fold the
+same pair.  The cover's margins read a whole stack in the solver's order;
+eig_normal sorts the eigenpairs of a stack of one, the decomposition the
+branch logarithm and the factorizations read.
 
 Matrices are plain numpy complex arrays; operations are pure and never
 modify their inputs.  The gates are the fixed constants MEMBERSHIP_TOL,
@@ -104,14 +104,8 @@ def cluster_angles(angles, tol: float) -> list[np.ndarray]:
     return pieces
 
 
-def _sorted_basis(V, lam) -> tuple[np.ndarray, np.ndarray]:
-    """One matrix's eigenpairs from _eig_stack, sorted into EigenDecomposition's order."""
-    order = np.lexsort((lam.imag, np.angle(lam)))
-    return V[:, order], lam[order]
-
-
-def _eig_stack(X, unitary: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors and eigenvalues of each matrix of a (T, m, m) normal stack.
+def _eig_stack(X) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors and eigenvalues of each matrix of a (T, m, m) unitary stack.
 
     Splits each X = H1 + i H2 with H1, H2 commuting Hermitian and solves
     the Hermitian problem for H1 + mu H2, mu the first weight, over the
@@ -122,27 +116,23 @@ def _eig_stack(X, unitary: bool = False) -> tuple[np.ndarray, np.ndarray]:
     mixed eigenvalues are more than CLUSTER_TOL * max(1, max|w|) apart, its
     columns split into blocks V_b, each rotated by the eigenvectors of
     V_b* (H1 + mu' H2) V_b for the second weight mu' where that lowers the
-    block's residual; the refined matrix faces the same check.  X is first
-    scaled exactly (ldexp) to entries below 2, so no product overflows.
+    block's residual; the refined matrix faces the same check.
 
     Returns (V, lam) with X[t] V[t] = V[t] diag(lam[t]), rows in the first
-    weight's order; eigh keeps V unitary to working precision.  With
-    unitary set, raises NotUnitary unless every ||X X* - E|| is within
-    100 * MEMBERSHIP_TOL * max(||X||, 1).  Raises NotNormal when some
-    commutator residual exceeds 100 * MEMBERSHIP_TOL (relative), and
-    NoConvergence when a refined matrix fails the residual check.
+    weight's order; eigh keeps V unitary to working precision.  Raises
+    NotUnitary unless every ||X X* - E|| is within 100 * MEMBERSHIP_TOL *
+    max(||X||, 1), which an overflow fails; NotNormal when some commutator
+    residual of such a near-unitary X exceeds 100 * MEMBERSHIP_TOL
+    (relative); and NoConvergence when a refined matrix fails the residual
+    check.
     """
-    k = np.maximum(np.frexp(np.abs(X).max(axis=(1, 2)))[1] - 1, 0)
-    if k.any():
-        X = np.ldexp(np.ascontiguousarray(X).view(float), -k[:, None, None]).view(complex)
     Xh = X.conj().swapaxes(1, 2)
     tol = 100.0 * MEMBERSHIP_TOL
-    s = _norms(X)
-    XXh = X @ Xh
-    # an entry of modulus 2 or more (k > 0) puts ||X X* - E|| >= 3 past the gate below side 1e14
-    if unitary and not ((k == 0) & (_norms(XXh - np.eye(X.shape[-1]))
-                                    <= tol * np.maximum(s, 1.0))).all():
-        raise NotUnitary("matrix is not unitary")
+    with np.errstate(over="ignore", invalid="ignore"):  # X is finite: a nan is an overflow
+        s = _norms(X)
+        XXh = X @ Xh
+        if not (_norms(XXh - np.eye(X.shape[-1])) / np.maximum(s, 1.0) <= tol).all():
+            raise NotUnitary("matrix is not unitary")
     if (_norms(XXh - Xh @ X) > tol * s * s).any():
         raise NotNormal("matrix does not commute with its conjugate transpose")
 
@@ -161,7 +151,7 @@ def _eig_stack(X, unitary: bool = False) -> tuple[np.ndarray, np.ndarray]:
         lam[t], r[t] = _ritz(X[t], V[t])
         if r[t] > MEMBERSHIP_TOL * s[t]:
             raise NoConvergence("no mixing weight separated the spectrum")
-    return V, np.ldexp(lam.view(float), k[:, None]).view(complex)
+    return V, lam
 
 
 def _ritz(X, V) -> tuple[np.ndarray, np.ndarray]:
@@ -172,12 +162,13 @@ def _ritz(X, V) -> tuple[np.ndarray, np.ndarray]:
 
 
 def eig_normal(X) -> EigenDecomposition:
-    """Eigendecomposition of a normal matrix: the one-matrix _eig_stack, then _sorted_basis.
+    """Eigendecomposition of a unitary matrix: the one-matrix _eig_stack, sorted.
 
-    Raises NotNormal and NoConvergence as _eig_stack does.
+    Raises NotUnitary, NotNormal and NoConvergence as _eig_stack does.
     """
-    V, lam = _eig_stack(as_matrix(X)[None])
-    return EigenDecomposition(*_sorted_basis(V[0], lam[0]))
+    (V,), (lam,) = _eig_stack(as_matrix(X)[None])
+    order = np.lexsort((lam.imag, np.angle(lam)))
+    return EigenDecomposition(V[:, order], lam[order])
 
 
 def exp_skew_hermitian(H) -> np.ndarray:

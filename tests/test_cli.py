@@ -340,6 +340,39 @@ def test_contract_rejects_unitary_nonmember(capsys, tmp_path):
     assert err == "error: source is not a member of AI(2) (residual 2.000e+00)\n"
 
 
+def test_contract_rejects_a_source_check_rejects(capsys, tmp_path):
+    # a unitary, det-1 rotation by 1e-8: symmetry residual 2.8e-8 fails check,
+    # and contract gates its s = 0 sample, the source, by the same verdict
+    bad = tmp_path / "bad.ndjson"
+    doc = {"family": "AI", "n": 2,
+           "matrix": {"n": 2, "entries": [[1.0, 0], [-1e-08, 0], [1e-08, 0], [1.0, 0]]}}
+    bad.write_text(json.dumps(doc) + "\n")
+    code, out, _ = invoke(capsys, ["check", "--input", str(bad)])
+    assert code == 0 and json.loads(out)["member"] is False
+    code, out, err = invoke(capsys, ["contract", "--alpha", "0.3", "--input", str(bad)])
+    assert code == 1 and out == ""
+    assert err == "error: source is not a member of AI(2) (residual 2.828e-08)\n"
+
+
+def test_branch_commands_solve_each_record_once(capsys, tmp_path, monkeypatch):
+    path, _ = sample_to_file(
+        capsys, tmp_path, ["--space", "ai", "--n", "5", "--count", "3", "--seed", "17"]
+    )
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(H):
+        calls.append(H)
+        return eigh(H)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    for argv in (["log", "--alpha-from-cover"], ["log", "--alpha", "0.3"],
+                 ["contract", "--alpha-from-cover", "--steps", "4"]):
+        calls.clear()
+        code, _, _ = invoke(capsys, [*argv, "--input", str(path)])
+        assert code == 0 and len(calls) == 3
+
+
 def test_input_records_are_streamed(capsys, tmp_path):
     path, first = sample_to_file(
         capsys, tmp_path, ["--space", "ai", "--n", "2", "--count", "1", "--seed", "4"]

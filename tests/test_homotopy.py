@@ -58,6 +58,19 @@ def test_contract_rejects_unitary_nonmember():
         contract(point, 0.3)
 
 
+def test_contract_source_is_the_first_sample():
+    # a unitary, det-1 rotation by 1e-8 fails is_member on its symmetry law
+    # (2.8e-8), well inside the 100 * MEMBERSHIP_TOL drift bound of later samples
+    rotated = SpacePoint(SpaceKind.ai(2), np.array([[1.0, -1e-8], [1e-8, 1.0]]))
+    assert not is_member(rotated.kind, rotated.matrix).member
+    with pytest.raises(NotInSpace, match=r"member of AI\(2\) \(residual 2.828e-08\)"):
+        contract(rotated, 0.3)
+    point = sample(SpaceKind.aii(2), seed=5)
+    first = contract(point, 0.3, steps=4).samples[0]
+    assert first.s == 0.0 and first.point is point
+    assert first.residuals == is_member(point.kind, point.matrix)
+
+
 def test_branch_log_rejects_non_finite_alpha():
     for alpha in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):

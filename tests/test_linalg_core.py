@@ -1,12 +1,13 @@
 """Tests for the eigen kernels, the skew exponential, and matrix JSON."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from lscat.errors import NotInSpace, NotNormal, NotSkewHermitian
+from lscat.errors import NotInSpace, NotNormal, NotSkewHermitian, NotUnitary
 from lscat.linalg_core import (
     _MIX_WEIGHTS,
     BRANCH_MARGIN,
@@ -72,18 +73,30 @@ def test_eig_normal_random_unitaries_residuals():
         assert np.linalg.norm(dec.P @ dec.P.conj().T - np.eye(m)) <= 1e-10
 
 
+def raises_not_unitary_quietly(X):
+    """eig_normal(X) raises NotUnitary, and numpy emits no warning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotUnitary):
+            eig_normal(X)
+
+
 def test_eig_normal_skew_hermitian_input():
+    # skew-Hermitian and Hermitian matrices are normal but not unitary
     rng = np.random.default_rng(12)
     A = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    H = A - A.conj().T
-    dec = eig_normal(H)
-    assert np.linalg.norm(H - dec.P @ np.diag(dec.eigenvalues) @ dec.P.conj().T) < 1e-12
-    assert np.max(np.abs(dec.eigenvalues.real)) < 1e-12
+    raises_not_unitary_quietly(A - A.conj().T)
+    raises_not_unitary_quietly(A + A.conj().T)
 
 
 def test_eig_normal_rejects_nonnormal():
+    # the near-unitary gate runs first, so a far non-normal matrix fails it
+    raises_not_unitary_quietly(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    # U (E + diag(k, -k)), U the swap: ||X X* - E|| = 2 sqrt(2) k passes the
+    # unitary gate, and the commutator 4 sqrt(2) k fails the normality gate
+    k = 4e-8
     with pytest.raises(NotNormal):
-        eig_normal(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        eig_normal(np.array([[0.0, 1.0 - k], [1.0 + k, 0.0]]))
 
 
 def test_eig_stack_falls_back_on_near_collision(monkeypatch):
@@ -106,7 +119,7 @@ def test_eig_stack_falls_back_on_near_collision(monkeypatch):
         return eigh(H)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    lam = _eig_stack(stack, unitary=True)[1]
+    lam = _eig_stack(stack)[1]
     assert calls[0].shape == (4, m, m)
     blocks = [H.shape for H in calls[1:]]
     # one row's columns, split into square blocks each smaller than m
@@ -188,21 +201,20 @@ def test_planted_folds_are_solved(kind):
 
 
 def test_eig_normal_gates_overflowing_input():
-    # X X* overflows for both; the gates read X scaled by a power of two, and
-    # pytest's filterwarnings = error turns any numpy warning into a failure
-    with pytest.raises(NotNormal):
-        eig_normal(np.array([[1e160, 1e160], [0.0, 1e160]]))
-    assert np.array_equal(eig_normal(1e160 * np.eye(2)).eigenvalues, [1e160, 1e160])
+    # X X* overflows: the unitary gate reads the overflow as a failure, and
+    # numpy's overflow warning is not raised
+    raises_not_unitary_quietly(np.array([[1e160, 1e160], [0.0, 1e160]]))
+    raises_not_unitary_quietly(1e160 * np.eye(2))
 
 
 def test_eig_stack_unitary_gate_checks_every_matrix():
     stack = np.array([np.eye(3), 2.0 * np.eye(3)], dtype=complex)
     with pytest.raises(NotInSpace):
-        _eig_stack(stack, unitary=True)
+        _eig_stack(stack)
     # the near-unitary gate runs before the normality gate
     with pytest.raises(NotInSpace):
-        _eig_stack(np.array([[[1.0, 1.0], [0.0, 1.0]]], dtype=complex), unitary=True)
-    lam = _eig_stack(np.array([np.eye(2), np.diag([1j, -1j])], dtype=complex), unitary=True)[1]
+        _eig_stack(np.array([[[1.0, 1.0], [0.0, 1.0]]], dtype=complex))
+    lam = _eig_stack(np.array([np.eye(2), np.diag([1j, -1j])], dtype=complex))[1]
     assert np.array_equal(lam[0], [1, 1]) and np.array_equal(np.sort_complex(lam[1]), [-1j, 1j])
 
 

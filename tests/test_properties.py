@@ -102,7 +102,7 @@ def _member_stacks(draw):
 def test_stacked_margins_equal_per_point_classify(case):
     kind, stack, _ = case
     config = default_cover(kind)
-    margins = _margins(config, np.angle(_eig_stack(stack, unitary=True)[1]))
+    margins = _margins(config, np.angle(_eig_stack(stack)[1]))
     for X, row in zip(stack, margins):
         assert is_member(kind, X).member
         cls = classify(config, SpacePoint(kind, X))
