@@ -24,7 +24,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .catbounds import ClassicalFamily, describe, descriptor_to_json, render_table
-from .cover import _margins, classify, cover_audit, default_cover
+from .cover import _classify_angles, classify, cover_audit, default_cover
 from .errors import LscatError
 from .factorizations import factor_aii, factor_symmetric
 from .homotopy import _branch_log, _contraction
@@ -155,8 +155,8 @@ def _spectrum(args, point: SpacePoint) -> tuple[EigenDecomposition, float]:
     if args.alpha is not None:
         return dec, args.alpha
     config = default_cover(point.kind)
-    (row,) = _margins(config, np.angle(dec.eigenvalues)[None])  # argmax: lowest index on ties
-    return dec, float(np.angle(config.lambdas[np.argmax(row)])) % (2.0 * np.pi)
+    witness = _classify_angles(config, np.angle(dec.eigenvalues)).witness
+    return dec, float(np.angle(config.lambdas[witness])) % (2.0 * np.pi)
 
 
 def _cmd_sample(parser, args) -> int:

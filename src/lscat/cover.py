@@ -87,7 +87,12 @@ def classify(config: CoverConfig, point: SpacePoint) -> CoverClassification:
         raise DimensionMismatch(
             f"point kind {point.kind} does not match cover kind {config.kind}"
         )
-    (row,) = _margins(config, np.angle(_eig_stack(point.matrix[None])[1]))
+    return _classify_angles(config, np.angle(_eig_stack(point.matrix[None])[1][0]))
+
+
+def _classify_angles(config: CoverConfig, angles: np.ndarray) -> CoverClassification:
+    """classify on one point's eigenvalue angles: the only place a witness is chosen."""
+    (row,) = _margins(config, angles[None])
     margins = tuple(float(margin) for margin in row)
     memberships = tuple(margin >= BRANCH_MARGIN for margin in margins)
     return CoverClassification(

@@ -14,10 +14,6 @@ class DimensionMismatch(LscatError):
     """Matrix sides do not match the declared space or each other."""
 
 
-class NotNormal(LscatError):
-    """Input matrix does not commute with its conjugate transpose."""
-
-
 class NoConvergence(LscatError):
     """A kernel's result failed its final residual check."""
 

@@ -8,7 +8,8 @@ the twist by J that defines the AII model.
 Both take one principal square root Y = V diag(r) V* of a unitary matrix
 from its eigendecomposition V diag(e^{i theta}) V*, with r = e^{i theta / 2}
 and every theta lifted into one turn that starts in the middle of the
-widest gap of the angles.  Y is a primary matrix function, so it is
+widest gap of the angles, the cut linalg_core's Cayley re-solve takes
+too.  Y is a primary matrix function, so it is
 unitary and keeps every similarity the transpose makes: tX = A X A^-1
 gives tY = A Y A^-1 (Higham, Mackey, Mackey and Tisseur, SIAM J. Matrix
 Anal. Appl. 26, 2005).
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComponentObstruction, DimensionMismatch, NoConvergence, NotInSpace
-from .linalg_core import MEMBERSHIP_TOL, TWO_PI, as_matrix, eig_normal, frobenius
+from .linalg_core import MEMBERSHIP_TOL, TWO_PI, _widest_gap_cut, as_matrix, eig_normal, frobenius
 from .spaces import Family, SpaceKind, SpacePoint, _law_residuals, is_member, structural_J
 
 
@@ -51,18 +52,10 @@ class FactorizationResult:
 
 
 def _principal_root(X) -> tuple[np.ndarray, complex]:
-    """The square root Y of a unitary X, and det Y.
-
-    The cut sits in the middle of the widest gap of the angles: m points on
-    the circle leave a gap of at least 2 pi/m, so every angle lies at least
-    pi/m from the cut.
-    """
+    """The square root Y of a unitary X, and det Y."""
     dec = eig_normal(X)
     angles = np.angle(dec.eigenvalues)
-    folded = np.sort(np.mod(angles, TWO_PI))
-    gaps = np.diff(folded, append=folded[0] + TWO_PI)
-    widest = int(np.argmax(gaps))
-    cut = folded[widest] + gaps[widest] / 2.0
+    cut = _widest_gap_cut(angles)
     roots = np.exp(0.5j * (cut + np.mod(angles - cut, TWO_PI)))
     return (dec.P * roots) @ dec.P.conj().T, np.prod(roots)
 

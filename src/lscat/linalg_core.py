@@ -6,13 +6,13 @@ point is read, and the matrix exponential of a skew-Hermitian matrix.
 
 Everything is reduced to Hermitian eigensolves: a unitary matrix splits
 into commuting Hermitian parts, and a solve of a weighted combination
-recovers a joint eigenbasis.  One solve of the first fixed weight takes a
-whole (T, m, m) stack, each matrix gated as near-unitary.  A weight can
-fold two eigenvalues together, so a matrix failing its residual check is
-refined by Rayleigh-Ritz with the second weight, which cannot fold the
-same pair.  The cover's margins read a whole stack in the solver's order;
-eig_normal sorts the eigenpairs of a stack of one, the decomposition the
-branch logarithm and the factorizations read.
+recovers a joint eigenbasis.  One solve of the fixed weight takes a whole
+(T, m, m) stack, each matrix gated as near-unitary.  The weight can fold
+two eigenvalues together, so a matrix failing its residual check is solved
+again by its Cayley transform, Hermitian and one-to-one on the spectrum,
+cut in the widest gap of the angles.  The cover's margins read a whole
+stack in the solver's order; eig_normal sorts the eigenpairs of a stack
+of one, the decomposition the branch logarithm and the factorizations read.
 
 Matrices are plain numpy complex arrays; operations are pure and never
 modify their inputs.  The gates are the fixed constants MEMBERSHIP_TOL,
@@ -26,16 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NotNormal, NotSkewHermitian, NotUnitary
+from .errors import NoConvergence, NotSkewHermitian, NotUnitary
 
 TWO_PI = 2.0 * np.pi
 
-# Mixing weights for the generic-combination trick in _eig_stack: the
-# solve and the Rayleigh-Ritz refinement.  Irrational and incommensurate.
-_MIX_WEIGHTS = (
-    0.7853981633974483,   # pi/4
-    1.618033988749895,    # golden ratio
-)
+# Weight mu of the mixed Hermitian matrix H1 + mu H2 that _eig_stack solves.
+_MIX_WEIGHT = 0.7853981633974483  # pi/4
 
 
 #: Bound on the Frobenius-norm residual of each membership law.
@@ -107,51 +103,49 @@ def cluster_angles(angles, tol: float) -> list[np.ndarray]:
 def _eig_stack(X) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvectors and eigenvalues of each matrix of a (T, m, m) unitary stack.
 
-    Splits each X = H1 + i H2 with H1, H2 commuting Hermitian and solves
-    the Hermitian problem for H1 + mu H2, mu the first weight, over the
-    whole stack; the joint eigenbasis diagonalizes X.  Eigenvalues are
-    Rayleigh quotients, accepted only after a residual check.  The weight
-    maps the angles arctan(mu) +- delta to one mixed eigenvalue, so a
-    matrix failing the check is refined by Rayleigh-Ritz: where consecutive
-    mixed eigenvalues are more than CLUSTER_TOL * max(1, max|w|) apart, its
-    columns split into blocks V_b, each rotated by the eigenvectors of
-    V_b* (H1 + mu' H2) V_b for the second weight mu' where that lowers the
-    block's residual; the refined matrix faces the same check.
+    Splits each X = H1 + i H2 into commuting Hermitian parts and solves
+    H1 + mu H2 over the whole stack; the joint eigenbasis diagonalizes X.
+    Eigenvalues are Rayleigh quotients, accepted after a residual check.
+    The weight folds the angles arctan(mu) +- delta onto one mixed
+    eigenvalue, so a failing row is solved again by the Cayley transform,
+    which folds nothing: with the cut e^{ic} in the widest gap of the
+    angles from eigvals and Y = -e^{-ic} X, K = i (E + Y)^-1 (E - Y) is
+    Hermitian and maps e^{i theta} one-to-one to tan((theta - c + pi)/2).
 
-    Returns (V, lam) with X[t] V[t] = V[t] diag(lam[t]), rows in the first
-    weight's order; eigh keeps V unitary to working precision.  Raises
-    NotUnitary unless every ||X X* - E|| is within 100 * MEMBERSHIP_TOL *
-    max(||X||, 1), which an overflow fails; NotNormal when some commutator
-    residual of such a near-unitary X exceeds 100 * MEMBERSHIP_TOL
-    (relative); and NoConvergence when a refined matrix fails the residual
-    check.
+    Returns (V, lam) with X[t] V[t] = V[t] diag(lam[t]), V unitary to
+    working precision.  Raises NotUnitary unless every ||X X* - E|| is
+    within 100 * MEMBERSHIP_TOL * max(||X||, 1), which an overflow fails,
+    and NoConvergence when a re-solved row fails the check, as a matrix
+    too far from normal does.
     """
     Xh = X.conj().swapaxes(1, 2)
-    tol = 100.0 * MEMBERSHIP_TOL
+    E = np.eye(X.shape[-1])
     with np.errstate(over="ignore", invalid="ignore"):  # X is finite: a nan is an overflow
         s = _norms(X)
-        XXh = X @ Xh
-        if not (_norms(XXh - np.eye(X.shape[-1])) / np.maximum(s, 1.0) <= tol).all():
+        if not (_norms(X @ Xh - E) / np.maximum(s, 1.0) <= 100.0 * MEMBERSHIP_TOL).all():
             raise NotUnitary("matrix is not unitary")
-    if (_norms(XXh - Xh @ X) > tol * s * s).any():
-        raise NotNormal("matrix does not commute with its conjugate transpose")
 
-    H1 = (X + Xh) / 2.0
-    H2 = (X - Xh) / 2.0j
-    w, V = np.linalg.eigh(H1 + _MIX_WEIGHTS[0] * H2)
+    V = np.linalg.eigh((X + Xh) / 2.0 + _MIX_WEIGHT * ((X - Xh) / 2.0j))[1]
     lam, r = _ritz(X, V)
-    for t in np.flatnonzero(r > MEMBERSHIP_TOL * s):
-        mixed = H1[t] + _MIX_WEIGHTS[1] * H2[t]
-        gaps = np.diff(w[t]) > CLUSTER_TOL * max(1.0, np.abs(w[t]).max())
-        for b in np.split(np.arange(X.shape[-1]), np.flatnonzero(gaps) + 1):
-            Vb = V[t][:, b]
-            Ub = Vb @ np.linalg.eigh(Vb.conj().T @ mixed @ Vb)[1]
-            # mu' cannot fold the pair mu folded, but may fold a close pair mu kept apart
-            V[t][:, b] = min(Vb, Ub, key=lambda U: _ritz(X[t], U)[1])
-        lam[t], r[t] = _ritz(X[t], V[t])
-        if r[t] > MEMBERSHIP_TOL * s[t]:
-            raise NoConvergence("no mixing weight separated the spectrum")
+    folded = np.flatnonzero(r > MEMBERSHIP_TOL * s)
+    if folded.size:
+        Xf = X[folded]
+        cut = _widest_gap_cut(np.angle(np.linalg.eigvals(Xf)))
+        Y = -np.exp(-1j * cut)[:, None, None] * Xf
+        K = 1j * np.linalg.solve(E + Y, E - Y)
+        V[folded] = np.linalg.eigh(K)[1]  # reads the lower triangle of K
+        lam[folded], r[folded] = _ritz(Xf, V[folded])
+        if (r[folded] > MEMBERSHIP_TOL * s[folded]).any():
+            raise NoConvergence("the Cayley re-solve failed the residual check")
     return V, lam
+
+
+def _widest_gap_cut(angles) -> np.ndarray:
+    """The middle of the widest gap of each row of m angles: at least pi/m from every angle."""
+    wrapped = np.sort(np.mod(angles, TWO_PI), axis=-1)
+    gaps = np.diff(wrapped, axis=-1, append=wrapped[..., :1] + TWO_PI)
+    middles = wrapped + gaps / 2.0
+    return np.take_along_axis(middles, np.argmax(gaps, axis=-1)[..., None], -1)[..., 0]
 
 
 def _ritz(X, V) -> tuple[np.ndarray, np.ndarray]:
@@ -164,7 +158,7 @@ def _ritz(X, V) -> tuple[np.ndarray, np.ndarray]:
 def eig_normal(X) -> EigenDecomposition:
     """Eigendecomposition of a unitary matrix: the one-matrix _eig_stack, sorted.
 
-    Raises NotUnitary, NotNormal and NoConvergence as _eig_stack does.
+    Raises NotUnitary and NoConvergence as _eig_stack does.
     """
     (V,), (lam,) = _eig_stack(as_matrix(X)[None])
     order = np.lexsort((lam.imag, np.angle(lam)))

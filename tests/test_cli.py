@@ -511,10 +511,13 @@ def test_stdout_is_standard_json(capsys, tmp_path):
 
 def test_planted_fold_record_is_solved(capsys):
     # an AI(13) member with one eigenvalue pair folded by each of six mixing
-    # weights, the solver's two among them (planted_fold in test_linalg_core)
-    path = str(Path(__file__).parent / "data" / "fold_ai13.ndjson")
-    code, out, _ = invoke(capsys, ["check", "--input", path])
-    assert code == 0 and json.loads(out)["member"]
-    for argv in (["cover"], ["contract", "--alpha-from-cover", "--steps", "4"], ["factor"]):
-        code, out, err = invoke(capsys, [*argv, "--input", path])
-        assert code == 0 and out and not err.startswith("error")
+    # weights, the solver's among them (planted_fold in test_linalg_core), and
+    # an AI(8) member whose close pair the weight folds onto its mirror image
+    # (close_pair_and_partner(8, 1e-7, 4) there)
+    for name in ("fold_ai13.ndjson", "closepair_ai8.ndjson"):
+        path = str(Path(__file__).parent / "data" / name)
+        code, out, _ = invoke(capsys, ["check", "--input", path])
+        assert code == 0 and json.loads(out)["member"]
+        for argv in (["cover"], ["contract", "--alpha-from-cover", "--steps", "4"], ["factor"]):
+            code, out, err = invoke(capsys, [*argv, "--input", path])
+            assert code == 0 and out and not err.startswith("error")

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from lscat.errors import NotInSpace, NotNormal, NotSkewHermitian, NotUnitary
+from lscat.errors import NoConvergence, NotInSpace, NotSkewHermitian, NotUnitary
 from lscat.linalg_core import (
-    _MIX_WEIGHTS,
+    _MIX_WEIGHT,
     BRANCH_MARGIN,
     CLUSTER_TOL,
     MEMBERSHIP_TOL,
@@ -26,6 +26,12 @@ from lscat.cover import classify, default_cover, multiplicity_audit
 from lscat.factorizations import factor_aii, factor_symmetric
 from lscat.homotopy import contract
 from lscat.spaces import Family, SpaceKind, SpacePoint, is_member, sample
+
+
+#: Six incommensurate weights, the solver's weight among them.  A spectrum can
+#: fold one pair for each weight of any finite list.
+_FOLD_WEIGHTS = (_MIX_WEIGHT, 1.618033988749895, 0.5772156649015329, 2.302585092994046,
+                 0.36787944117144233, np.pi)
 
 
 def random_unitary(m, rng):
@@ -92,69 +98,87 @@ def test_eig_normal_skew_hermitian_input():
 def test_eig_normal_rejects_nonnormal():
     # the near-unitary gate runs first, so a far non-normal matrix fails it
     raises_not_unitary_quietly(np.array([[1.0, 1.0], [0.0, 1.0]]))
-    # U (E + diag(k, -k)), U the swap: ||X X* - E|| = 2 sqrt(2) k passes the
-    # unitary gate, and the commutator 4 sqrt(2) k fails the normality gate
-    k = 4e-8
-    with pytest.raises(NotNormal):
-        eig_normal(np.array([[0.0, 1.0 - k], [1.0 + k, 0.0]]))
+    # U (E + diag(k, -k)) and its m = 3 extension, U the swap, pass the unitary
+    # gate.  A unitary V with residual r = ||X V - V diag(lam)|| puts X within r
+    # of a normal matrix, so ||X X* - X* X|| <~ 4 r; here it is 4 sqrt(2) k, far
+    # above 4 r at the residual check, so no basis passes
+    for k, X in ((4e-8, [[0.0, 1.0], [1.0, 0.0]]),
+                 (5.8e-8, [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])):
+        X = np.array(X)
+        X[1, 0], X[0, 1] = 1.0 + k, 1.0 - k
+        with pytest.raises(NoConvergence):
+            eig_normal(X)
 
 
 def test_eig_stack_falls_back_on_near_collision(monkeypatch):
     # H1 + mu H2 maps e^{i theta} to sqrt(1 + mu^2) cos(theta - arctan mu), so
-    # the angles arctan mu +- 0.7 nearly meet in the first weight's spectrum
-    # and its eigenvectors mix them; only that matrix may be refined, block by block
+    # the angles arctan mu +- 0.7 nearly meet in the mixed spectrum and its
+    # eigenvectors mix them; only that row is re-solved, and the other rows
+    # keep exactly what a stack without it gives them
     rng = np.random.default_rng(29)
     m = 8
-    phi = np.arctan(_MIX_WEIGHTS[0])
+    phi = np.arctan(_MIX_WEIGHT)
     theta = np.concatenate([[phi + 0.7, phi - 0.7 - 1e-10], rng.uniform(-np.pi, np.pi, m - 2)])
     O, _ = np.linalg.qr(rng.standard_normal((m, m)))
     collide = (O * np.exp(1j * theta)) @ O.T
     stack = np.array([random_unitary(m, rng), random_unitary(m, rng), collide,
                       random_unitary(m, rng)])
-    calls = []
-    eigh = np.linalg.eigh
+    resolved = []
+    eigvals = np.linalg.eigvals
 
-    def counting_eigh(H):
-        calls.append(H)
-        return eigh(H)
+    def recording_eigvals(A):
+        resolved.append(A)
+        return eigvals(A)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    lam = _eig_stack(stack)[1]
-    assert calls[0].shape == (4, m, m)
-    blocks = [H.shape for H in calls[1:]]
-    # one row's columns, split into square blocks each smaller than m
-    assert blocks and all(a == b < m for a, b in blocks) and sum(a for a, _ in blocks) == m
+    monkeypatch.setattr(np.linalg, "eigvals", recording_eigvals)
+    V, lam = _eig_stack(stack)
+    rest = _eig_stack(np.delete(stack, 2, axis=0))
+    assert len(resolved) == 1 and np.array_equal(resolved[0], stack[2:3])
     monkeypatch.undo()
-    # a refined row keeps the solver's order; eig_normal sorts it by argument
+    assert np.array_equal(np.delete(V, 2, axis=0), rest[0])
+    assert np.array_equal(np.delete(lam, 2, axis=0), rest[1])
+    # a re-solved row keeps the solver's order; eig_normal sorts it by argument
     order = np.lexsort((lam[2].imag, np.angle(lam[2])))
     assert np.array_equal(lam[2][order], eig_normal(collide).eigenvalues)
     assert np.allclose(np.sort(np.angle(lam[2])), np.sort(np.angle(np.exp(1j * theta))),
                        atol=1e-12)
-    for X, row in zip(stack, lam):
-        assert np.allclose(np.sort(np.angle(row)),
-                           np.sort(np.angle(eig_normal(X).eigenvalues)), atol=1e-12)
+    assert np.linalg.norm(collide - (V[2] * lam[2]) @ V[2].conj().T) <= 1e-12
+
+
+def close_pair_and_partner(m, delta, seed):
+    """An AI(m) member with a close pair folded onto its mirror image by the solver's weight.
+
+    The pair psi +- delta/2 sits astride psi = arctan of the golden ratio, and
+    the weight mu maps its mirror 2 arctan(mu) - psi -+ delta/2 onto it.
+    """
+    rng = np.random.default_rng(seed)
+    phi, psi = np.arctan(_MIX_WEIGHT), np.arctan(_FOLD_WEIGHTS[1])
+    theta = np.concatenate([psi + np.array([delta, -delta]) / 2,
+                            2 * phi - psi + np.array([-delta, delta]) / 2,
+                            rng.uniform(-np.pi, np.pi, m - 4)])
+    theta[-1] -= theta.sum()
+    O, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    return (O * np.exp(1j * theta)) @ O.T
 
 
 @pytest.mark.parametrize("delta", [1e-8, 1e-7, 1e-6])
 def test_refinement_keeps_a_close_pair_the_first_weight_resolved(delta):
-    # the pair arctan(mu) +- 0.7 makes the first weight fail the matrix, and the
-    # close pair astride arctan(mu') is folded by the second weight alone
+    # the pair arctan(mu) +- 0.7 makes the weight fail the matrix beside a
+    # close pair astride arctan(mu'); then a close pair folded onto its
+    # mirror image, for m in {8, 32} and four seeds each
     rng = np.random.default_rng(3)
     m = 8
-    phi, psi = np.arctan(_MIX_WEIGHTS[0]), np.arctan(_MIX_WEIGHTS[1])
+    phi, psi = np.arctan(_MIX_WEIGHT), np.arctan(_FOLD_WEIGHTS[1])
     theta = np.concatenate([[phi + 0.7, phi - 0.7, psi + delta / 2, psi - delta / 2],
                             rng.uniform(-np.pi, np.pi, m - 4)])
     theta[-1] -= theta.sum()
     O, _ = np.linalg.qr(rng.standard_normal((m, m)))
-    X = (O * np.exp(1j * theta)) @ O.T
-    dec = eig_normal(X)
-    assert np.linalg.norm(X - (dec.P * dec.eigenvalues) @ dec.P.conj().T) <= 1e-12
-
-
-#: Six incommensurate weights, the solver's two among them.  A spectrum can
-#: fold one pair for each weight of any finite list.
-_FOLD_WEIGHTS = _MIX_WEIGHTS + (0.5772156649015329, 2.302585092994046, 0.36787944117144233,
-                                np.pi)
+    members = [(O * np.exp(1j * theta)) @ O.T]
+    members += [close_pair_and_partner(m, delta, seed) for m in (8, 32) for seed in range(4, 8)]
+    for X in members:
+        assert is_member(SpaceKind.ai(X.shape[0]), X).member
+        dec = eig_normal(X)
+        assert np.linalg.norm(X - (dec.P * dec.eigenvalues) @ dec.P.conj().T) <= 1e-12
 
 
 def planted_fold(kind, seed):
@@ -184,7 +208,7 @@ def planted_fold(kind, seed):
                                   SpaceKind.aii(32)],
                          ids=lambda kind: f"{kind.family.value}{kind.n}")
 def test_planted_folds_are_solved(kind):
-    # every weight of _FOLD_WEIGHTS, both of the solver's included, folds a pair
+    # every weight of _FOLD_WEIGHTS, the solver's included, folds a pair
     X = planted_fold(kind, seed=kind.n)
     assert is_member(kind, X).member
     dec = eig_normal(X)
@@ -211,7 +235,7 @@ def test_eig_stack_unitary_gate_checks_every_matrix():
     stack = np.array([np.eye(3), 2.0 * np.eye(3)], dtype=complex)
     with pytest.raises(NotInSpace):
         _eig_stack(stack)
-    # the near-unitary gate runs before the normality gate
+    # a far non-normal matrix fails the near-unitary gate
     with pytest.raises(NotInSpace):
         _eig_stack(np.array([[[1.0, 1.0], [0.0, 1.0]]], dtype=complex))
     lam = _eig_stack(np.array([np.eye(2), np.diag([1j, -1j])], dtype=complex))[1]

@@ -11,7 +11,7 @@ from lscat.errors import ComponentObstruction
 from lscat.factorizations import factor_aii, factor_symmetric
 from lscat.homotopy import branch_log
 from lscat.linalg_core import (
-    _MIX_WEIGHTS,
+    _MIX_WEIGHT,
     CLUSTER_TOL,
     MEMBERSHIP_TOL,
     _eig_stack,
@@ -33,7 +33,7 @@ def _phases(draw, k):
     """k unit phases with product 1 and a drawn shape of spectrum.
 
     The shapes: +-1, +-i, scalar, exact clusters, near-degenerate clusters,
-    pairs folded together by the first mixing weight, and free angles.
+    pairs folded together by the mixing weight, and free angles.
     """
     shape = draw(st.sampled_from(["pm1", "pmi", "scalar", "cluster", "near", "fold", "free"]))
     angle = st.floats(-np.pi, np.pi)
@@ -53,9 +53,9 @@ def _phases(draw, k):
         base = draw(angle)
         theta = [base + spread * draw(st.integers(-2, 2)) for _ in range(k)]
     elif shape == "fold":
-        # arctan(mu) +- delta meet in the spectrum of H1 + mu H2 for the first
-        # weight mu, so the stacked solve must refine the matrix by Rayleigh-Ritz
-        phi = np.arctan(_MIX_WEIGHTS[0])
+        # arctan(mu) +- delta meet in the spectrum of H1 + mu H2 for the solver's
+        # weight mu, so the stacked solve must re-solve the matrix by the Cayley transform
+        phi = np.arctan(_MIX_WEIGHT)
         delta = draw(st.floats(0.1, 3.0))
         eps = draw(st.sampled_from([0.0, 1e-12, 1e-8]))
         theta = [phi + delta, phi - delta - eps] + draw(st.lists(angle, min_size=k, max_size=k))
