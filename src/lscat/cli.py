@@ -24,11 +24,11 @@ from collections.abc import Iterator
 import numpy as np
 
 from .catbounds import ClassicalFamily, describe, descriptor_to_json, render_table
-from .cover import _classify_angles, classify, cover_audit, default_cover
+from .cover import classify, cover_audit, default_cover
 from .errors import LscatError
 from .factorizations import factor_aii, factor_symmetric
-from .homotopy import _branch_log, _contraction
-from .linalg_core import EigenDecomposition, eig_normal, matrix_from_json, matrix_to_json
+from .homotopy import _branch_log, _contraction, _spectrum
+from .linalg_core import matrix_from_json, matrix_to_json
 from .spaces import (
     Family,
     SpaceKind,
@@ -149,16 +149,6 @@ def _membership_json(point: SpacePoint, report) -> dict:
     return doc
 
 
-def _spectrum(args, point: SpacePoint) -> tuple[EigenDecomposition, float]:
-    """The record's one eig_normal and its branch angle: --alpha, or the cover witness's."""
-    dec = eig_normal(point.matrix)
-    if args.alpha is not None:
-        return dec, args.alpha
-    config = default_cover(point.kind)
-    witness = _classify_angles(config, np.angle(dec.eigenvalues)).witness
-    return dec, float(np.angle(config.lambdas[witness])) % (2.0 * np.pi)
-
-
 def _cmd_sample(parser, args) -> int:
     """Print each chunk of points as it is drawn, so memory does not grow with --count."""
     kind = _kind_from_flags(parser, args)
@@ -192,7 +182,7 @@ def _cmd_factor(parser, args) -> int:
 
 def _cmd_log(parser, args) -> int:
     for point in _points_from_input(parser, args):
-        bl = _branch_log(*_spectrum(args, point))
+        bl = _branch_log(*_spectrum(point, args.alpha))
         _emit(
             {
                 "H": matrix_to_json(bl.H),
@@ -208,10 +198,10 @@ def _cmd_log(parser, args) -> int:
 def _cmd_contract(parser, args) -> int:
     """One JSON list of samples per point, written element by element."""
     for point in _points_from_input(parser, args):
-        target_scalar, samples = _contraction(point, *_spectrum(args, point), args.steps)
+        path = _contraction(point, args.alpha, args.steps)
         worst = 0.0
         separator = "["
-        for s in samples:
+        for s in path.samples:
             # vars(report) holds unitarity, determinant, symmetry and member, in that order
             record = {"s": s.s, "matrix": matrix_to_json(s.point.matrix),
                       "residuals": vars(s.residuals)}
@@ -221,7 +211,7 @@ def _cmd_contract(parser, args) -> int:
         sys.stdout.write("]\n")
         _note(
             f"contracted in {args.steps} steps to scalar "
-            f"{target_scalar:.6f}; max residual {worst:.3e}"
+            f"{path.target_scalar:.6f}; max residual {worst:.3e}"
         )
     return 0
 

@@ -29,6 +29,7 @@ from .errors import DimensionMismatch, NotInSpace, OddMultiplicity
 from .linalg_core import (
     BRANCH_MARGIN,
     CLUSTER_TOL,
+    MEMBERSHIP_TOL,
     _eig_stack,
     angular_distance,
     cluster_angles,
@@ -79,9 +80,9 @@ def classify(config: CoverConfig, point: SpacePoint) -> CoverClassification:
     """Angular margins of the spectrum against each avoided eigenvalue.
 
     memberships[r] holds when the margin is at least BRANCH_MARGIN; the
-    witness maximizes the margin, ties going to the lowest index.  Works
-    for any unitary of the right side (membership in the space itself is
-    not required), so impossibility certificates can be classified too.
+    witness is the lowest index whose margin is within MEMBERSHIP_TOL of
+    the largest.  Works for any unitary of the right side, member or not,
+    so impossibility certificates can be classified too.
     """
     if point.kind != config.kind:
         raise DimensionMismatch(
@@ -95,9 +96,8 @@ def _classify_angles(config: CoverConfig, angles: np.ndarray) -> CoverClassifica
     (row,) = _margins(config, angles[None])
     margins = tuple(float(margin) for margin in row)
     memberships = tuple(margin >= BRANCH_MARGIN for margin in margins)
-    return CoverClassification(
-        memberships=memberships, margins=margins, witness=int(np.argmax(row))
-    )
+    witness = int(np.argmax(row >= row.max() - MEMBERSHIP_TOL))
+    return CoverClassification(memberships=memberships, margins=margins, witness=witness)
 
 
 def _margins(config: CoverConfig, angles: np.ndarray) -> np.ndarray:

@@ -11,15 +11,18 @@ The contraction exponentiates the linear path (1 - s) H + s (2 pi i k / m) E
 (m is the ambient side) on the eigenbasis of H, which the scalar target
 shares; the endpoint is the scalar matrix exp(2 pi i k / m) E and every
 intermediate point stays inside the space, re-verified sample by sample.
+By default the branch is the default cover's witness, read from the same
+eigendecomposition: this module is where a witness becomes a branch angle.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .cover import _classify_angles, default_cover
 from .errors import BranchViolation, MembershipDrift, NotInSpace
 from .linalg_core import BRANCH_MARGIN, MEMBERSHIP_TOL, TWO_PI, EigenDecomposition, eig_normal
 from .spaces import MembershipReport, SpacePoint, is_member
@@ -50,15 +53,16 @@ class PathSample:
 
 @dataclass(frozen=True)
 class HomotopyPath:
-    """Sampled contraction from source to the scalar matrix target."""
+    """Sampled contraction from source to the scalar target, cut at alpha in [0, 2 pi)."""
 
     source: SpacePoint
+    alpha: float
     target_scalar: complex
     samples: tuple[PathSample, ...]
 
 
-def _lift(dec: EigenDecomposition, alpha: float) -> tuple[np.ndarray, float, float]:
-    """(theta, alpha mod 2 pi, margin) of X = P diag(e^{i theta}) P* for dec = eig_normal(X)."""
+def _lift(dec: EigenDecomposition, alpha: float) -> tuple[np.ndarray, float, float, int]:
+    """(theta, alpha mod 2 pi, margin, winding) of dec, where X = P diag(e^{i theta}) P*."""
     if not np.isfinite(alpha):
         raise ValueError(f"branch angle must be finite, got {alpha!r}")
     alpha = float(np.mod(alpha, TWO_PI))
@@ -68,7 +72,18 @@ def _lift(dec: EigenDecomposition, alpha: float) -> tuple[np.ndarray, float, flo
         raise BranchViolation(
             f"eigenvalue within {margin:.3e} of the branch point", margin=margin
         )
-    return alpha + rel, alpha, margin
+    theta = alpha + rel
+    return theta, alpha, margin, int(round(float(np.sum(theta)) / TWO_PI))
+
+
+def _spectrum(point: SpacePoint, alpha: float | None) -> tuple[EigenDecomposition, float]:
+    """point's one eig_normal and the branch angle: alpha, or if None the cover witness's."""
+    dec = eig_normal(point.matrix)
+    if alpha is None:
+        config = default_cover(point.kind)
+        witness = _classify_angles(config, np.angle(dec.eigenvalues)).witness
+        alpha = float(np.angle(config.lambdas[witness]))
+    return dec, alpha
 
 
 def branch_log(X, alpha: float) -> BranchLog:
@@ -84,26 +99,19 @@ def branch_log(X, alpha: float) -> BranchLog:
 
 def _branch_log(dec: EigenDecomposition, alpha: float) -> BranchLog:
     """branch_log of the matrix whose eig_normal is dec."""
-    theta, alpha, margin = _lift(dec, alpha)
+    theta, alpha, margin, winding = _lift(dec, alpha)
     H = (dec.P * (1j * theta)) @ dec.P.conj().T
     H = (H - H.conj().T) / 2.0
-    winding = int(round(float(np.trace(H).imag) / TWO_PI))
     return BranchLog(H=H, alpha=alpha, winding=winding, margin=margin)
 
 
-def _contraction(
-    point: SpacePoint, dec: EigenDecomposition, alpha: float, steps: int
-) -> tuple[complex, Iterator[PathSample]]:
-    """contract's target scalar and a generator of its samples, for dec = eig_normal(point.matrix).
-
-    The logarithm is taken before returning, so its errors come first; the
-    samples are formed and checked one at a time as they are drawn.
-    """
+def _contraction(point: SpacePoint, alpha: float | None, steps: int) -> HomotopyPath:
+    """contract's path, its samples a generator; the solve's and the log's errors come first."""
+    dec, alpha = _spectrum(point, alpha)
     if steps < 1:
         raise ValueError("steps must be a positive integer")
     kind = point.kind
-    theta, _, _ = _lift(dec, alpha)
-    winding = int(round(float(np.sum(theta)) / TWO_PI))
+    theta, alpha, _, winding = _lift(dec, alpha)
     angle_target = TWO_PI * winding / kind.ambient_size
 
     def samples() -> Iterator[PathSample]:
@@ -124,22 +132,23 @@ def _contraction(
                 )
             yield PathSample(s=s, point=SpacePoint(kind, F), residuals=report)
 
-    return complex(np.exp(1j * angle_target)), samples()
+    return HomotopyPath(point, alpha, complex(np.exp(1j * angle_target)), samples())
 
 
-def contract(point: SpacePoint, alpha: float, steps: int = 16) -> HomotopyPath:
+def contract(point: SpacePoint, alpha: float | None = None, steps: int = 16) -> HomotopyPath:
     """Contract a member along the linear log path onto a scalar matrix.
 
-    The target logarithm is (2 pi i k / m) E with m the ambient side; for
-    the symmetric family this is the scalar 2 pi i k / n and for the
-    twisted family pi i k / n, both covered by the same formula.  The
-    scalar target commutes with H = P diag(i theta) P*, so the sample at s
-    is P diag(exp(i((1 - s) theta + s 2 pi k / m))) P*, formed on the
-    logarithm's one eigendecomposition.  The sample at s = 0 is the source
-    itself, with its is_member report; a source that is_member rejects
-    raises NotInSpace.  Every later sample is re-checked at 100 *
-    MEMBERSHIP_TOL, and MembershipDrift indicates an implementation bug,
-    since the path from a member provably stays inside the space.
+    The logarithm is cut at alpha; None cuts it at the default cover's
+    witness lambda_r, read from the point's one eigendecomposition, which
+    keeps every eigenvalue at least pi/(2n) from the cut.  The target
+    logarithm is (2 pi i k / m) E with m the ambient side.  It commutes
+    with H = P diag(i theta) P*, so the sample at s is
+    P diag(exp(i((1 - s) theta + s 2 pi k / m))) P*, formed on the same
+    eigendecomposition.  The sample at s = 0 is the source itself, with
+    its is_member report; a source that is_member rejects raises
+    NotInSpace.  Every later sample is re-checked at 100 * MEMBERSHIP_TOL,
+    and MembershipDrift indicates an implementation bug, since the path
+    from a member provably stays inside the space.
     """
-    target_scalar, samples = _contraction(point, eig_normal(point.matrix), alpha, steps)
-    return HomotopyPath(source=point, target_scalar=target_scalar, samples=tuple(samples))
+    path = _contraction(point, alpha, steps)
+    return replace(path, samples=tuple(path.samples))

@@ -14,7 +14,7 @@ from lscat.cover import (
     multiplicity_audit,
 )
 from lscat.errors import BranchViolation, DimensionMismatch, NotInSpace
-from lscat.homotopy import branch_log
+from lscat.homotopy import branch_log, contract
 from lscat.spaces import (
     Family,
     SpaceKind,
@@ -205,8 +205,7 @@ def test_cover_audit_memory_is_flat():
 @pytest.mark.parametrize("n", [2, 3, 4, 6, 7, 10])
 def test_extremal_points_sit_on_the_margin_floor(capsys, tmp_path, n):
     # Some lambda_r of the default cover is at least pi/(2n) from every
-    # eigenvalue of a member, and these points attain that floor.  Their n
-    # margins tie to roundoff, so the witness index is not pinned.
+    # eigenvalue of a member, and these points attain that floor.
     floor = np.pi / (2 * n)
     r = np.arange(n)
     ai = np.exp(1j * np.pi * (2 * r if n % 2 else 2 * r + 1) / n)
@@ -224,7 +223,36 @@ def test_extremal_points_sit_on_the_margin_floor(capsys, tmp_path, n):
         config = default_cover(point.kind)
         cls = classify(config, point)
         assert abs(cls.margins[cls.witness] - floor) < 1e-12
+        assert cls.witness == 0
         alpha = float(np.angle(config.lambdas[cls.witness]))
         assert abs(branch_log(point.matrix, alpha).margin - floor) < 1e-12
     assert run(["contract", "--alpha-from-cover", "--steps", "4", "--input", str(path)]) == 0
     assert capsys.readouterr().out.count("\n") == len(points)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 13])
+@pytest.mark.parametrize("family", list(Family))
+def test_one_set_witnesses(family, n):
+    # Every set of the default cover is needed: the member with every
+    # lambda_s, s != r, as an eigenvalue and mu = conj(prod_{s != r} lambda_s)
+    # (so det 1) lies in A_r alone, since mu = -+i lambda_r is pi/2 from lambda_r.
+    config = default_cover(SpaceKind(family, n))
+    rng = np.random.default_rng(n)
+    for r in range(n):
+        others = [lam for s, lam in enumerate(config.lambdas) if s != r]
+        spectrum = np.array(others + [np.conj(np.prod(others))])
+        if family is Family.AI:
+            O, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            X = (O * spectrum) @ O.T
+        else:
+            # Kramers pairs diag(D, D), conjugated by the real orthogonal
+            # Q = [[A, -B], [B, A]] of a unitary A + iB, which commutes with J
+            U, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            Q = np.block([[U.real, -U.imag], [U.imag, U.real]])
+            X = (Q * np.concatenate([spectrum, spectrum])) @ Q.T
+        point = SpacePoint(config.kind, X)
+        assert is_member(point.kind, X).member
+        cls = classify(config, point)
+        assert cls.memberships == tuple(s == r for s in range(n))
+        assert cls.witness == r
+        assert contract(point, steps=1).alpha == np.mod(np.angle(config.lambdas[r]), TWO_PI)

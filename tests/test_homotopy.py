@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.stats
 
+from lscat.cover import classify, default_cover
 from lscat.errors import BranchViolation, NotInSpace, NotUnitary
 from lscat.homotopy import branch_log, contract
 from lscat.linalg_core import exp_skew_hermitian
@@ -232,6 +233,35 @@ def test_contract_makes_one_eigensolve(monkeypatch):
         calls.clear()
         contract(point, np.pi / 7, steps=16)
         assert len(calls) == 1
+
+
+def test_contract_at_the_cover_witness_makes_one_eigensolve(monkeypatch):
+    # contract(point) reads the witness from the spectrum that forms the path,
+    # and runs the path of the witness's angle, given explicitly
+    witnesses = []
+    for kind in (SpaceKind.ai(64), SpaceKind.aii(32)):
+        point = sample(kind, seed=5)
+        config = default_cover(kind)
+        alpha = float(np.mod(np.angle(config.lambdas[classify(config, point).witness]), 2 * np.pi))
+        witnesses.append((point, alpha, contract(point, alpha, steps=16)))
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(None)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    for point, alpha, explicit in witnesses:
+        calls.clear()
+        path = contract(point, steps=16)
+        assert len(calls) == 1
+        assert path.alpha == alpha and 0.0 <= alpha < 2 * np.pi
+        assert explicit.alpha == alpha and path.target_scalar == explicit.target_scalar
+        assert len(path.samples) == len(explicit.samples) == 17
+        for got, want in zip(path.samples, explicit.samples):
+            assert got.s == want.s and got.residuals == want.residuals
+            assert np.array_equal(got.point.matrix, want.point.matrix)
 
 
 def test_contract_propagates_branch_violation():

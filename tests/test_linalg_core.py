@@ -22,7 +22,7 @@ from lscat.linalg_core import (
     matrix_from_json,
     matrix_to_json,
 )
-from lscat.cover import classify, default_cover, multiplicity_audit
+from lscat.cover import multiplicity_audit
 from lscat.factorizations import factor_aii, factor_symmetric
 from lscat.homotopy import contract
 from lscat.spaces import Family, SpaceKind, SpacePoint, is_member, sample
@@ -214,9 +214,7 @@ def test_planted_folds_are_solved(kind):
     dec = eig_normal(X)
     assert np.linalg.norm(X - (dec.P * dec.eigenvalues) @ dec.P.conj().T) <= 1e-10
     point = SpacePoint(kind, X)
-    config = default_cover(kind)
-    alpha = float(np.angle(config.lambdas[classify(config, point).witness]))
-    assert len(contract(point, alpha, steps=16).samples) == 17
+    assert len(contract(point).samples) == 17
     if kind.family is Family.AI:
         assert factor_symmetric(X).residual <= 1e-10
     else:

@@ -107,7 +107,8 @@ def test_stacked_margins_equal_per_point_classify(case):
         assert is_member(kind, X).member
         cls = classify(config, SpacePoint(kind, X))
         assert list(row) == list(cls.margins) == _parent_margins(config, X)
-        assert int(np.argmax(row)) == cls.witness
+        # the witness is the lowest index within MEMBERSHIP_TOL of the largest margin
+        assert cls.witness == min(r for r, m in enumerate(row) if m >= max(row) - MEMBERSHIP_TOL)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
