@@ -5,11 +5,13 @@ go to stderr.  Exit codes: 0 success, 1 domain errors, 2 usage errors.
 All randomness comes from --seed; there is no ambient entropy.
 
 The commands live in one table, _COMMANDS.  A run whose first argument
-names a command builds that command's parser alone, parses the rest with
-it, and hands it to the command to report usage errors.  The full parser,
-with a subparser per command, is built only when the first argument names
-no command (none, -h, a typo), and to report arguments the command leaves
-unparsed with the usage line of every command.
+names a command parses the rest with that command's parser alone and hands
+it to the command to report usage errors.  The full parser, with a
+subparser per command, is used only when the first argument names no
+command (none, -h, a typo), and to report arguments the command leaves
+unparsed with the usage line of every command.  A process builds each
+parser at most once and reuses it: the parsers keep no state between
+parses, and argparse looks up sys.stdout and sys.stderr when it prints.
 """
 
 from __future__ import annotations
@@ -228,6 +230,7 @@ def _cmd_cover(parser, args) -> int:
                 "covered_fraction": report.covered_fraction,
                 "occupancy": list(report.occupancy),
                 "min_witness_margin": report.min_witness_margin,
+                "margin_floor": report.margin_floor,
             }
         )
         _note(f"cover audit: fraction {report.covered_fraction}")
@@ -329,6 +332,13 @@ def _command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentPar
     return parser
 
 
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of command name alone."""
+    return _command(argparse.ArgumentParser(prog=f"lscat {name}"), name)
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The lscat parser with the subparser of every command."""
     parser = argparse.ArgumentParser(
@@ -348,8 +358,7 @@ def run(argv: list[str]) -> int:
     argv = _attach_alpha(argv)
     try:
         if argv and argv[0] in _COMMANDS:
-            parser = _command(argparse.ArgumentParser(prog=f"lscat {argv[0]}"), argv[0])
-            args, extra = parser.parse_known_args(argv[1:])
+            args, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
             if extra:  # reported by the full parser, as its subparser would
                 _build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
         else:

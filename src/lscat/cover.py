@@ -9,7 +9,8 @@ family) and the squared product is -1 (twisted family), so no member can
 have all the lambdas as eigenvalues and the A_r cover the space.  The
 same products give a floor: every member keeps some lambda_r at least
 pi/(2n) from its spectrum, so the witness's branch logarithm cannot meet
-BRANCH_MARGIN while pi/(2n) > BRANCH_MARGIN.
+BRANCH_MARGIN while pi/(2n) > BRANCH_MARGIN.  The audit reports that floor
+as margin_floor and gates every sampled witness margin against it.
 
 Classification needs only the eigenvalue angles of a point.  One function
 of the angles gives the margins of a whole stack of spectra, and the audit
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotInSpace, OddMultiplicity
+from .errors import DimensionMismatch, NoConvergence, NotInSpace, OddMultiplicity
 from .linalg_core import (
     BRANCH_MARGIN,
     CLUSTER_TOL,
@@ -62,6 +63,7 @@ class CoverAuditReport:
     covered_fraction: float
     occupancy: tuple[int, ...]
     min_witness_margin: float
+    margin_floor: float
 
 
 def default_cover(kind: SpaceKind) -> CoverConfig:
@@ -143,8 +145,11 @@ def cover_audit(kind: SpaceKind, trials: int, seed: int) -> CoverAuditReport:
     """Sample members and classify each against the default cover.
 
     Reports the covered fraction (provably 1.0; anything less is a bug),
-    how many samples landed in each set, and the smallest witness margin
-    observed.
+    how many samples landed in each set, the smallest witness margin
+    observed and the floor pi/(2n) that the product certificate puts under
+    it.  Raises NoConvergence when a witness margin falls below the floor
+    by more than 10 MEMBERSHIP_TOL, the slack left for the eigensolver's
+    angle error.
     """
     if trials < 1:
         raise ValueError("trials must be a positive integer")
@@ -158,10 +163,16 @@ def cover_audit(kind: SpaceKind, trials: int, seed: int) -> CoverAuditReport:
         covered += int(np.count_nonzero(hits.any(axis=1)))
         occupancy += hits.sum(axis=0)
         min_witness_margin = min(min_witness_margin, float(margins.max(axis=1).min()))
+    margin_floor = np.pi / (2 * kind.n)
+    if min_witness_margin < margin_floor - 10.0 * MEMBERSHIP_TOL:
+        raise NoConvergence(
+            f"witness margin {min_witness_margin:.3e} is below the floor {margin_floor:.3e}"
+        )
     return CoverAuditReport(
         kind=kind,
         trials=trials,
         covered_fraction=covered / trials,
         occupancy=tuple(int(count) for count in occupancy),
         min_witness_margin=min_witness_margin,
+        margin_floor=margin_floor,
     )

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import ComponentObstruction, DimensionMismatch, NoConvergence, NotInSpace
 from .linalg_core import MEMBERSHIP_TOL, TWO_PI, _widest_gap_cut, as_matrix, eig_normal, frobenius
-from .spaces import Family, SpaceKind, SpacePoint, _law_residuals, is_member, structural_J
+from .spaces import Family, SpaceKind, SpacePoint, _law_residuals, is_member
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,9 @@ def factor_skew(X) -> FactorizationResult:
             "congruence orbit that admits no factor P in SU(2n)"
         )
 
-    residual = frobenius(X - P @ structural_J(n) @ P.T)
+    # P J as the signed block swap [P2, -P1] of the column halves.
+    PJ = np.concatenate([P[:, n:], -P[:, :n]], axis=1)
+    residual = frobenius(X - PJ @ P.T)
     if residual > 10.0 * MEMBERSHIP_TOL * max(frobenius(X), 1.0):
         raise NoConvergence(f"skew factorization residual {residual:.3e}")
     return FactorizationResult(P=P, residual=residual)
@@ -124,4 +126,6 @@ def factor_aii(point: SpacePoint) -> FactorizationResult:
     """
     if point.kind.family is not Family.AII:
         raise DimensionMismatch("factor_aii expects an AII point")
-    return factor_skew(structural_J(point.kind.n).T @ point.matrix)
+    # tJ X as the signed block swap [X2; -X1] of the row halves.
+    X, n = point.matrix, point.kind.n
+    return factor_skew(np.concatenate([X[n:], -X[:n]]))

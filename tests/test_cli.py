@@ -258,17 +258,44 @@ def test_run_builds_only_the_parser_it_runs(capsys, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    for argv, key, value in (
+    cli._command_parser.cache_clear()
+    cli._build_parser.cache_clear()
+    runs = (
         (["describe", "--family", "ai", "--params", "3"], "cat_exact", 2),
         (["cover", "--space", "aii", "--n", "2", "--trials", "20", "--seed", "1"],
          "trials", 20),
         (["sample", "--space", "ai", "--n", "3", "--count", "2", "--seed", "1"],
          "family", "AI"),
+    )
+    # the first run of a command builds its own parser alone, a repeat builds none
+    for first in (True, False):
+        for argv, key, value in runs:
+            built.clear()
+            code, out, _ = invoke(capsys, argv)
+            assert code == 0 and json.loads(out.splitlines()[0])[key] == value
+            assert built == ([f"lscat {argv[0]}"] if first else [])
+
+
+def test_repeat_runs_are_identical_around_failed_runs(capsys, tmp_path):
+    # a failed run leaves nothing in the parsers a later run reuses
+    nonmember = tmp_path / "nonmember.ndjson"
+    nonmember.write_text(json.dumps(
+        {"family": "AI", "n": 2, "matrix": {"n": 2, "entries": [[2, 0], [0, 0], [0, 0], [2, 0]]}}
+    ) + "\n")
+    for good, usage, domain in (
+        (["cover", "--space", "aii", "--n", "2", "--trials", "20", "--seed", "1"],
+         ["cover", "--space", "ai", "--n", "2"],
+         ["cover", "--input", str(nonmember)]),
+        (["describe", "--family", "aii", "--params", "5"],
+         ["describe", "--family", "aii"],
+         ["describe", "--family", "bdi", "--params", "1,1"]),
     ):
-        built.clear()
-        code, out, _ = invoke(capsys, argv)
-        assert code == 0 and json.loads(out.splitlines()[0])[key] == value
-        assert built == [f"lscat {argv[0]}"]
+        first = invoke(capsys, good)
+        assert first[0] == 0
+        assert invoke(capsys, usage)[0] == 2
+        assert invoke(capsys, domain)[0] == 1
+        assert invoke(capsys, [good[0], "--help"])[0] == 0
+        assert invoke(capsys, good) == first
 
 
 def test_help_lists_every_command(capsys):

@@ -13,8 +13,9 @@ from lscat.cover import (
     default_cover,
     multiplicity_audit,
 )
-from lscat.errors import BranchViolation, DimensionMismatch, NotInSpace
+from lscat.errors import BranchViolation, DimensionMismatch, NoConvergence, NotInSpace
 from lscat.homotopy import branch_log, contract
+from lscat.linalg_core import MEMBERSHIP_TOL
 from lscat.spaces import (
     Family,
     SpaceKind,
@@ -200,6 +201,43 @@ def test_cover_audit_memory_is_flat():
         finally:
             tracemalloc.stop()
     assert peaks[1] < 3 * peaks[0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16])
+@pytest.mark.parametrize("family", list(Family))
+def test_cover_audit_passes_the_margin_floor_gate(capsys, family, n):
+    report = cover_audit(SpaceKind(family, n), trials=200, seed=n)
+    assert report.margin_floor == np.pi / (2 * n)
+    assert report.min_witness_margin >= report.margin_floor - 10 * MEMBERSHIP_TOL
+    # the CLI prints the floor after the smallest witness margin
+    argv = ["cover", "--space", family.value.lower(), "--n", str(n), "--trials", "200",
+            "--seed", str(n)]
+    assert run(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc)[-2:] == ["min_witness_margin", "margin_floor"]
+    assert doc["min_witness_margin"] == report.min_witness_margin
+    assert doc["margin_floor"] == report.margin_floor
+
+
+@pytest.mark.parametrize("below, raises", [(5e-9, False), (2e-8, True), (np.pi / 12, True)])
+def test_cover_audit_gates_margins_below_the_floor(monkeypatch, below, raises):
+    # each eigenvalue sits pi/(2n) - below past its own lambda_r, so every margin
+    # is pi/(2n) - below: each set still clears BRANCH_MARGIN and the fraction
+    # stays 1.0, but the gate allows only 10 MEMBERSHIP_TOL under the floor
+    n = 3
+    kind = SpaceKind.ai(n)
+    spectrum = np.array(default_cover(kind).lambdas) * np.exp(1j * (np.pi / (2 * n) - below))
+    monkeypatch.setattr(
+        "lscat.cover._eig_stack",
+        lambda stack: (None, np.broadcast_to(spectrum, (len(stack), n))),
+    )
+    if raises:
+        with pytest.raises(NoConvergence, match="below the floor"):
+            cover_audit(kind, trials=10, seed=1)
+    else:
+        report = cover_audit(kind, trials=10, seed=1)
+        assert report.covered_fraction == 1.0
+        assert report.min_witness_margin == pytest.approx(np.pi / (2 * n) - below, abs=1e-15)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6, 7, 10])

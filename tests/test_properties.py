@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lscat.cover import _margins, classify, default_cover
+from lscat.cover import _margins, classify, default_cover, multiplicity_audit
 from lscat.errors import ComponentObstruction
 from lscat.factorizations import factor_aii, factor_symmetric
 from lscat.homotopy import branch_log
@@ -69,12 +69,12 @@ def _phases(draw, k):
 
 
 @st.composite
-def _member_stacks(draw):
+def _member_stacks(draw, families=tuple(Family), max_n=6):
     """A kind, a stack of its members with structured spectra, and each member's det d.
 
     An AII member is U diag(d, d) U* for U in Sp(n); an AI member has no d, and None.
     """
-    kind = SpaceKind(draw(st.sampled_from(list(Family))), draw(st.integers(1, 6)))
+    kind = SpaceKind(draw(st.sampled_from(families)), draw(st.integers(1, max_n)))
     m = kind.ambient_size
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     stack, dets = [], []
@@ -148,3 +148,31 @@ def test_witness_margin_floor_and_log_at_the_witness(case):
         assert np.linalg.norm(exp_skew_hermitian(bl.H) - X) <= 10 * MEMBERSHIP_TOL * scale
         turns = np.trace(bl.H).imag / (2 * np.pi)
         assert abs(turns - round(turns)) <= 1e-9
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_member_stacks(families=(Family.AII,), max_n=8))
+def test_aii_multiplicities_are_even(case):
+    # conjugation by J pairs the eigenvectors of an AII member, so every
+    # cluster of its spectrum is even and the clusters hold all 2n eigenvalues
+    kind, stack, _ = case
+    for X in stack:
+        sizes = [size for _, size in multiplicity_audit(SpacePoint(kind, X))]
+        assert all(size % 2 == 0 for size in sizes)
+        assert sum(sizes) == kind.ambient_size
+
+
+@settings(max_examples=3, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), _phases(256))
+def test_factor_round_trip_and_margin_floor_at_m_256(seed, phases):
+    kind = SpaceKind.ai(256)
+    O, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((256, 256)))
+    X = (O * phases) @ O.T
+    assert is_member(kind, X).member
+    result = factor_symmetric(X)
+    gate = 10 * MEMBERSHIP_TOL * max(np.linalg.norm(X), 1.0)
+    assert result.residual <= gate
+    assert np.linalg.norm(X - result.P @ result.P.T) <= gate
+    assert abs(np.linalg.det(result.P) - 1.0) <= 1e-10
+    cls = classify(default_cover(kind), SpacePoint(kind, X))
+    assert cls.margins[cls.witness] >= np.pi / (2 * kind.n) - 10 * MEMBERSHIP_TOL
