@@ -2,7 +2,9 @@
 
 JSON records go to stdout (one document per line), human-readable summaries
 go to stderr.  Exit codes: 0 success, 1 domain errors, 2 usage errors.
-All randomness comes from --seed; there is no ambient entropy.
+All randomness comes from --seed; there is no ambient entropy.  The
+records of log, contract and cover are the fields of the library's
+result dataclasses, in their declared order.
 
 The commands live in one table, _COMMANDS.  A run whose first argument
 names a command parses the rest with that command's parser alone and hands
@@ -54,15 +56,21 @@ def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of --n, --count, --steps and --trials: an integer >= 1."""
+def _int_at_least(low: int, text: str) -> int:
+    """argparse type, bound to low by functools.partial: an integer >= low (0 or 1)."""
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+        value = low - 1
+    if value < low:
+        word = "positive" if low else "non-negative"
+        raise argparse.ArgumentTypeError(f"expected a {word} integer, got {text!r}")
     return value
+
+
+#: argparse types of --n, --count, --steps and --trials, and of --seed.
+_positive_int = functools.partial(_int_at_least, 1)
+_seed = functools.partial(_int_at_least, 0)
 
 
 def _finite_float(text: str) -> float:
@@ -185,14 +193,7 @@ def _cmd_factor(parser, args) -> int:
 def _cmd_log(parser, args) -> int:
     for point in _points_from_input(parser, args):
         bl = _branch_log(*_spectrum(point, args.alpha))
-        _emit(
-            {
-                "H": matrix_to_json(bl.H),
-                "alpha": bl.alpha,
-                "winding": bl.winding,
-                "margin": bl.margin,
-            }
-        )
+        _emit({**vars(bl), "H": matrix_to_json(bl.H)})
         _note(f"branch log at alpha={bl.alpha:.6f}: winding {bl.winding}")
     return 0
 
@@ -223,29 +224,15 @@ def _cmd_cover(parser, args) -> int:
         if args.seed is None:
             parser.error("--seed is required for a cover audit")
         kind = _kind_from_flags(parser, args)
-        report = cover_audit(kind, args.trials, args.seed)
-        _emit(
-            {
-                "trials": report.trials,
-                "covered_fraction": report.covered_fraction,
-                "occupancy": list(report.occupancy),
-                "min_witness_margin": report.min_witness_margin,
-                "margin_floor": report.margin_floor,
-            }
-        )
-        _note(f"cover audit: fraction {report.covered_fraction}")
+        report = vars(cover_audit(kind, args.trials, args.seed))
+        _emit({field: value for field, value in report.items() if field != "kind"})
+        _note(f"cover audit: fraction {report['covered_fraction']}")
         return 0
     if args.input is None:
         parser.error("cover needs --input (classify) or --trials (audit)")
     for point in _points_from_input(parser, args):
         cls = classify(default_cover(point.kind), point)
-        _emit(
-            {
-                "memberships": list(cls.memberships),
-                "margins": list(cls.margins),
-                "witness": cls.witness,
-            }
-        )
+        _emit(vars(cls))
         _note(f"classified; witness set {cls.witness}")
     return 0
 
@@ -284,7 +271,7 @@ def _log_args(p) -> None:
 def _sample_args(p) -> None:
     _add_space(p)
     p.add_argument("--count", type=_positive_int, default=1)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
 
 
 def _contract_args(p) -> None:
@@ -296,7 +283,7 @@ def _cover_args(p) -> None:
     _add_common(p, input_default=None)
     p.add_argument("--trials", type=_positive_int, default=None,
                    help="run an audit with this many samples")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
 
 
 def _table_args(p) -> None:

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import ComponentObstruction, DimensionMismatch, NoConvergence, NotInSpace
 from .linalg_core import MEMBERSHIP_TOL, TWO_PI, _widest_gap_cut, as_matrix, eig_normal, frobenius
-from .spaces import Family, SpaceKind, SpacePoint, _law_residuals, is_member
+from .spaces import Family, SpaceKind, SpacePoint, _law_residuals, _swap_halves, is_member
 
 
 @dataclass(frozen=True)
@@ -89,10 +89,8 @@ def factor_skew(X) -> FactorizationResult:
     containing J, where no such P exists.
     """
     X = as_matrix(X)
-    m = X.shape[0]
-    if m % 2:
+    if X.shape[0] % 2:
         raise DimensionMismatch("skew special unitary matrices have even side")
-    n = m // 2
     residuals = _law_residuals(X, -X)
     if max(residuals) > MEMBERSHIP_TOL:
         raise NotInSpace(
@@ -100,17 +98,14 @@ def factor_skew(X) -> FactorizationResult:
             "(residuals {:.3e}/{:.3e}/{:.3e})".format(*residuals)
         )
 
-    # M = X tJ as the signed block swap [-X2, X1] of the column halves.
-    P, det = _principal_root(np.concatenate([-X[:, n:], X[:, :n]], axis=1))
+    P, det = _principal_root(-_swap_halves(X, -1))  # X tJ
     if det.real < 0.0:
         raise ComponentObstruction(
             "the root of X tJ has det -1: the input lies in the skew "
             "congruence orbit that admits no factor P in SU(2n)"
         )
 
-    # P J as the signed block swap [P2, -P1] of the column halves.
-    PJ = np.concatenate([P[:, n:], -P[:, :n]], axis=1)
-    residual = frobenius(X - PJ @ P.T)
+    residual = frobenius(X - _swap_halves(P, -1) @ P.T)
     if residual > 10.0 * MEMBERSHIP_TOL * max(frobenius(X), 1.0):
         raise NoConvergence(f"skew factorization residual {residual:.3e}")
     return FactorizationResult(P=P, residual=residual)
@@ -126,6 +121,4 @@ def factor_aii(point: SpacePoint) -> FactorizationResult:
     """
     if point.kind.family is not Family.AII:
         raise DimensionMismatch("factor_aii expects an AII point")
-    # tJ X as the signed block swap [X2; -X1] of the row halves.
-    X, n = point.matrix, point.kind.n
-    return factor_skew(np.concatenate([X[n:], -X[:n]]))
+    return factor_skew(_swap_halves(point.matrix, -2))  # tJ X

@@ -185,11 +185,18 @@ def matrix_to_json(m) -> dict:
     return {"n": int(m.shape[0]), "entries": entries}
 
 
+def _field(doc: dict, name: str):
+    """doc[name]; ValueError naming the field when the record lacks it."""
+    if name not in doc:
+        raise ValueError(f"record has no field {name!r}")
+    return doc[name]
+
+
 def _json_side(doc) -> int:
     """The field n of a JSON object record; ValueError unless an integer >= 1."""
     if not isinstance(doc, dict):
         raise ValueError("expected a JSON object")
-    n = doc["n"]
+    n = _field(doc, "n")
     if type(n) is not int or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     return n
@@ -198,7 +205,7 @@ def _json_side(doc) -> int:
 def matrix_from_json(doc: dict) -> np.ndarray:
     """Parse the matrix JSON format; ValueError unless it holds n*n [re, im] number pairs."""
     n = _json_side(doc)
-    entries = doc["entries"]
+    entries = _field(doc, "entries")
     try:
         pairs = np.array(entries)
     except ValueError:  # ragged nesting

@@ -6,6 +6,9 @@ X in SU(2n) obeying tX = J X tJ for the structural block matrix J.
 This module provides the membership predicates, J itself, and Haar
 sampling through the transitive group actions.
 
+J's block layout and sign live in _swap_halves alone: here and in
+factorizations every product with J is a signed swap of a matrix's halves.
+
 Sampling is stacked: one draw forms a (c, m, m) array of points with
 stacked QR, determinant, phase and products, at most 2^16 complex entries
 per array, so a long run holds one chunk at a time.  It reproduces the
@@ -24,6 +27,7 @@ import numpy as np
 from .errors import DimensionMismatch
 from .linalg_core import (
     MEMBERSHIP_TOL,
+    _field,
     _json_side,
     as_matrix,
     frobenius,
@@ -112,6 +116,12 @@ def structural_J(n: int) -> np.ndarray:
     return J
 
 
+def _swap_halves(X, axis: int) -> np.ndarray:
+    """[X2, -X1] of X's halves along axis -1 (X J) or -2 (tJ X); X may be a stack."""
+    n, tail = X.shape[axis] // 2, (slice(None),) * (-1 - axis)
+    return np.concatenate([X[(..., slice(n, None), *tail)], -X[(..., slice(n), *tail)]], axis)
+
+
 def _law_residuals(X, twin) -> tuple[float, ...]:
     """||X X* - E||, |det X - 1| and ||tX - twin|| of a finite X; inf where they overflow."""
     with np.errstate(over="ignore", invalid="ignore"):  # X is finite: a nan is an overflow
@@ -131,12 +141,7 @@ def is_member(kind: SpaceKind, X) -> MembershipReport:
     m = kind.ambient_size
     if X.shape[0] != m:
         raise DimensionMismatch(f"expected side {m}, got {X.shape[0]}")
-    if kind.family is Family.AI:
-        twin = X
-    else:
-        n = kind.n  # J X tJ is the signed block swap [[X22, -X21], [-X12, X11]]
-        XJ = np.concatenate([X[:, n:], -X[:, :n]], axis=1)
-        twin = np.concatenate([XJ[n:], -XJ[:n]])
+    twin = X if kind.family is Family.AI else _swap_halves(_swap_halves(X, -1), -2)  # J X tJ
     residuals = _law_residuals(X, twin)
     return MembershipReport(*residuals, max(residuals) <= MEMBERSHIP_TOL)
 
@@ -176,20 +181,18 @@ def _member_stacks(kind: SpaceKind, count: int, seed: int) -> Iterator[np.ndarra
 
     AI: X = P tP and AII: X = J (P J tP) for Haar P; both formulas push the
     Haar measure through the transitive action, so every output passes
-    is_member.  A chunk holds max(1, 2^16 // m^2) matrices.  J enters as
-    signed block swaps, P J = [P2, -P1] and J W = [-W2; W1]; 0.0 - and
-    + 0.0 keep the signed zeros of the dense products.
+    is_member.  A chunk holds max(1, 2^16 // m^2) matrices.  J W is
+    0.0 - tJ W, so its zeros are +0 as in the dense product.
     """
     rng = np.random.default_rng(seed)
-    m, n = kind.ambient_size, kind.n
+    m = kind.ambient_size
     chunk = max(1, _CHUNK_ENTRIES // m**2)
     for start in range(0, count, chunk):
         P = _haar_stack(m, min(chunk, count - start), rng)
         if kind.family is Family.AI:
             yield P @ P.swapaxes(1, 2)
         else:
-            W = np.concatenate([P[..., n:], -P[..., :n]], axis=2) @ P.swapaxes(1, 2)
-            yield np.concatenate([0.0 - W[:, n:], W[:, :n] + 0.0], axis=1)
+            yield 0.0 - _swap_halves(_swap_halves(P, -1) @ P.swapaxes(1, 2), -2)
 
 
 def sample_points(kind: SpaceKind, count: int, seed: int) -> list[SpacePoint]:
@@ -211,5 +214,5 @@ def point_to_json(point: SpacePoint) -> dict:
 
 
 def point_from_json(doc: dict) -> SpacePoint:
-    kind = SpaceKind(Family(doc["family"]), _json_side(doc))
-    return SpacePoint(kind, matrix_from_json(doc["matrix"]))
+    kind = SpaceKind(Family(_field(doc, "family")), _json_side(doc))
+    return SpacePoint(kind, matrix_from_json(_field(doc, "matrix")))

@@ -221,6 +221,9 @@ def test_usage_errors_exit_2(capsys):
         ["contract", "--input", "missing.ndjson"],
         ["log", "--input", os.devnull, "--alpha", "1", "--alpha-from-cover"],
         ["log", "--input", os.devnull, "--alpha", "--alpha-from-cover"],
+        # seeds are non-negative
+        ["sample", "--space", "ai", "--n", "2", "--seed", "-1"],
+        ["cover", "--space", "ai", "--n", "1", "--trials", "3", "--seed", "-5"],
     ):
         code, out, _ = invoke(capsys, argv)
         assert code == 2 and out == ""
@@ -242,6 +245,8 @@ def test_usage_errors_inside_a_command_print_its_usage(capsys):
          "lscat log: error: argument --alpha: expected a finite number, got 'abc'"),
         (["contract", "--input", os.devnull],
          "lscat contract: error: one of the arguments --alpha --alpha-from-cover is required"),
+        (["sample", "--space", "ai", "--n", "2", "--seed", "-1"],
+         "lscat sample: error: argument --seed: expected a non-negative integer, got '-1'"),
     ):
         code, out, err = invoke(capsys, argv)
         assert code == 2 and out == ""
@@ -355,6 +360,19 @@ def test_domain_errors_exit_1(capsys, tmp_path):
         code, out, err = invoke(capsys, ["check", "--space", "ai", "--n", "1",
                                          "--input", str(bad)])
         assert code == 1 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("record, field", [
+    ({"family": "AI", "n": 1, "matrix": {"n": 1}}, "entries"),
+    ({"family": "AI", "n": 1, "matrix": {"entries": [[1, 0]]}}, "n"),
+    ({"n": 1, "matrix": {"n": 1, "entries": [[1, 0]]}}, "family"),
+])
+def test_record_errors_name_the_missing_field(capsys, tmp_path, record, field):
+    path = tmp_path / "missing_field.ndjson"
+    path.write_text(json.dumps(record) + "\n")
+    assert invoke(capsys, ["check", "--input", str(path)]) == (
+        1, "", f"error: record has no field {field!r}\n"
+    )
 
 
 def test_contract_rejects_unitary_nonmember(capsys, tmp_path):

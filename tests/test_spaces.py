@@ -9,6 +9,7 @@ from lscat.spaces import (
     Family,
     SpaceKind,
     SpacePoint,
+    _swap_halves,
     haar_special_unitary,
     is_member,
     point_from_json,
@@ -31,6 +32,50 @@ def test_structural_J_identities():
         assert np.allclose(J @ J.T, np.eye(2 * n))
         assert np.allclose(J @ J, -np.eye(2 * n))
         assert np.linalg.det(J) == pytest.approx(1.0, abs=1e-12)
+
+
+def _same_bits(a, b):
+    """Equal values and equal signs in both parts, so equal bits: array_equal has -0.0 == 0.0."""
+    return np.array_equal(a, b) and all(
+        np.array_equal(np.signbit(part(a)), np.signbit(part(b))) for part in (np.real, np.imag)
+    )
+
+
+def _with_signed_zeros(shape, seed):
+    """A complex array with +0.0 and -0.0 planted in about a third of each part."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for part in (X.real, X.imag):
+        planted = rng.random(shape) < 0.35
+        part[planted] = np.copysign(0.0, rng.standard_normal(np.count_nonzero(planted)))
+    return X
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("stack", [(), (3,)], ids=["matrix", "stack"])
+def test_swap_halves_is_every_J_product(n, stack):
+    X = _with_signed_zeros((*stack, 2 * n, 2 * n), seed=n + len(stack))
+    J = structural_J(n)
+    XJ, tJX = _swap_halves(X, -1), _swap_halves(X, -2)
+    # the values of the dense products X J, tJ X, X tJ, J X tJ and J X
+    assert np.array_equal(XJ, X @ J)
+    assert np.array_equal(tJX, J.T @ X)
+    assert np.array_equal(-XJ, X @ J.T)
+    assert np.array_equal(_swap_halves(XJ, -2), J @ X @ J.T)
+    assert np.array_equal(0.0 - tJX, J @ X)
+    # bit for bit the blocks [X2, -X1], planted zeros included
+    want = np.empty_like(X)
+    want[..., :n], want[..., n:] = X[..., n:], -X[..., :n]
+    assert _same_bits(XJ, want)
+    want[..., :n, :], want[..., n:, :] = X[..., n:, :], -X[..., :n, :]
+    assert _same_bits(tJX, want)
+    # The dense J X gives either sign of zero as its BLAS kernel sums (with numpy
+    # 2.4's OpenBLAS, J E has -0 entries at odd n), so the sampler takes J W as
+    # 0.0 - tJ W: +0 for either zero, where a bare negation turns +0 into -0.
+    for part in (np.real, np.imag):
+        zeros = part(tJX) == 0.0
+        assert not np.signbit(part(0.0 - tJX))[zeros].any()
+        assert np.signbit(part(-tJX))[zeros].any()
 
 
 def test_kind_ambient_size():
