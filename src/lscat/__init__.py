@@ -18,7 +18,6 @@ from .catbounds import (
     cover_upper_bound,
     cup_length,
     describe,
-    descriptor_to_json,
     ganea_upper,
     kahler_cat,
     render_table,
@@ -78,7 +77,6 @@ __all__ = [
     "cover_upper_bound",
     "cup_length",
     "describe",
-    "descriptor_to_json",
     "ganea_upper",
     "kahler_cat",
     "render_table",

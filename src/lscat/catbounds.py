@@ -12,14 +12,17 @@ Three rules produce every bound in the table:
 
 describe() assembles one row of the table for concrete parameters,
 recomputing the bounds from these rules wherever the source cohomology is
-on record, and render_table() emits the symbolic eight-family table.
+on record.  A row's category is exact where its lower bound meets its upper
+bound, and None where both are unknown.  render_table() emits the symbolic
+eight-family table.
 Everything in this module is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
-import io
 import json
+import numbers
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -48,12 +51,11 @@ class GradedAlgebraSpec:
 
     generators is a tuple, or a range for the arithmetic degrees of the
     matrix families: its count and its check then cost O(1) for any n.
-    coefficient_tag is metadata only ("mod2" or "integer"); the cup length
-    of an exterior algebra does not depend on it.
+    The cup length of an exterior algebra does not depend on its
+    coefficients, so the spec does not record them.
     """
 
     generators: tuple[int, ...] | range
-    coefficient_tag: str = "integer"
 
     def __post_init__(self):
         degrees = self.generators
@@ -61,8 +63,6 @@ class GradedAlgebraSpec:
             degrees = (degrees[0], degrees[-1])  # a range is monotone
         if any(d < 1 for d in degrees):
             raise ValueError("generator degrees must be positive")
-        if self.coefficient_tag not in ("mod2", "integer"):
-            raise ValueError("coefficient_tag must be 'mod2' or 'integer'")
 
 
 @dataclass(frozen=True)
@@ -123,14 +123,14 @@ def ai_cohomology_generators(n: int) -> GradedAlgebraSpec:
     """Mod-2 cohomology of the symmetric family: exterior on degrees 2..n."""
     if n < 1:
         raise InvalidParams("n must be positive")
-    return GradedAlgebraSpec(range(2, n + 1), coefficient_tag="mod2")
+    return GradedAlgebraSpec(range(2, n + 1))
 
 
 def aii_cohomology_generators(n: int) -> GradedAlgebraSpec:
     """Integral cohomology of the twisted family: exterior on degrees 5, 9, ..., 4n-3."""
     if n < 1:
         raise InvalidParams("n must be positive")
-    return GradedAlgebraSpec(range(5, 4 * n - 2, 4), coefficient_tag="integer")
+    return GradedAlgebraSpec(range(5, 4 * n - 2, 4))
 
 
 def _require(condition: bool, message: str) -> None:
@@ -138,10 +138,17 @@ def _require(condition: bool, message: str) -> None:
         raise InvalidParams(message)
 
 
+def _integer(value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParams(f"parameters must be integers, got {value!r}") from None
+
+
 def _params_tuple(family: ClassicalFamily, params) -> tuple[int, ...]:
-    if isinstance(params, int):
+    if isinstance(params, (numbers.Number, str)):
         params = (params,)
-    params = tuple(int(p) for p in params)
+    params = tuple(_integer(p) for p in params)
     expected = 2 if family in (ClassicalFamily.AIII, ClassicalFamily.BDI, ClassicalFamily.CII) else 1
     _require(
         len(params) == expected,
@@ -153,185 +160,98 @@ def _params_tuple(family: ClassicalFamily, params) -> tuple[int, ...]:
 def describe(family: ClassicalFamily | str, params) -> SpaceDescriptor:
     """Fill one table row for concrete parameters, recomputing the bounds.
 
-    Raises InvalidParams naming the violated side condition.  cat fields
-    are None exactly where the classification is an open problem.
+    Raises InvalidParams naming the violated side condition.  The category
+    is exact where the lower bound meets the upper bound; cat fields are
+    None exactly where the classification is an open problem.
     """
     family = ClassicalFamily(family)
     params = _params_tuple(family, params)
+    kahler, connectivity = KahlerFlag.NO, None
 
     if family is ClassicalFamily.AI:
         (n,) = params
         _require(n > 2, "AI requires n > 2")
-        lower = cup_length(ai_cohomology_generators(n))
-        upper = cover_upper_bound(n)
-        return SpaceDescriptor(
-            family, params, (n - 1) * (n + 2) // 2, KahlerFlag.NO, None,
-            lower, upper, n - 1,
-        )
-
-    if family is ClassicalFamily.AII:
+        dimension = (n - 1) * (n + 2) // 2
+        lower, upper = cup_length(ai_cohomology_generators(n)), cover_upper_bound(n)
+    elif family is ClassicalFamily.AII:
         (n,) = params
         _require(n > 1, "AII requires n > 1")
-        lower = cup_length(aii_cohomology_generators(n))
-        upper = cover_upper_bound(n)
-        return SpaceDescriptor(
-            family, params, (n - 1) * (2 * n + 1), KahlerFlag.NO, None,
-            lower, upper, n - 1,
-        )
-
-    if family is ClassicalFamily.AIII:
+        dimension = (n - 1) * (2 * n + 1)
+        lower, upper = cup_length(aii_cohomology_generators(n)), cover_upper_bound(n)
+    elif family is ClassicalFamily.AIII:
         p, q = params
         _require(p >= q >= 1, "AIII requires p >= q >= 1")
-        exact = kahler_cat(p * q)
-        return SpaceDescriptor(
-            family, params, 2 * p * q, KahlerFlag.YES, None, exact, exact, exact
-        )
-
-    if family is ClassicalFamily.BDI:
+        dimension, kahler = 2 * p * q, KahlerFlag.YES
+        lower = upper = kahler_cat(p * q)
+    elif family is ClassicalFamily.BDI:
         p, q = params
         _require(p >= q >= 2, "BDI requires p >= q >= 2")
         _require(p + q != 4, "BDI requires p + q != 4")
+        dimension, lower, upper = p * q, None, None
         if q == 2:
-            exact = kahler_cat(p)
-            return SpaceDescriptor(
-                family, params, p * q, KahlerFlag.YES, None, exact, exact, exact
-            )
-        return SpaceDescriptor(
-            family, params, p * q, KahlerFlag.NO, None, None, None, None
-        )
-
-    if family is ClassicalFamily.BDII:
+            kahler = KahlerFlag.YES
+            lower = upper = kahler_cat(p)
+    elif family is ClassicalFamily.BDII:
         (n,) = params
         _require(n >= 2, "BDII requires n >= 2")
-        lower = cup_length(GradedAlgebraSpec((n,)))
-        upper = ganea_upper(n, n)
+        dimension = connectivity = n
         kahler = KahlerFlag.YES if n == 2 else KahlerFlag.NO
-        return SpaceDescriptor(family, params, n, kahler, n, lower, upper, 1)
-
-    if family is ClassicalFamily.DIII:
+        lower, upper = cup_length(GradedAlgebraSpec((n,))), ganea_upper(n, n)
+    elif family is ClassicalFamily.DIII:
         (l,) = params
         _require(l >= 4, "DIII requires l >= 4")
-        exact = kahler_cat(l * (l - 1) // 2)
-        return SpaceDescriptor(
-            family, params, l * (l - 1), KahlerFlag.YES, None, exact, exact, exact
-        )
-
-    if family is ClassicalFamily.CI:
+        dimension, kahler = l * (l - 1), KahlerFlag.YES
+        lower = upper = kahler_cat(l * (l - 1) // 2)
+    elif family is ClassicalFamily.CI:
         (n,) = params
         _require(n >= 3, "CI requires n >= 3")
-        exact = kahler_cat(n * (n + 1) // 2)
-        return SpaceDescriptor(
-            family, params, n * (n + 1), KahlerFlag.YES, None, exact, exact, exact
-        )
+        dimension, kahler = n * (n + 1), KahlerFlag.YES
+        lower = upper = kahler_cat(n * (n + 1) // 2)
+    else:
+        # CII: the cohomology ring matches the complex Grassmannian's, so the
+        # cup-length lower bound equals that Kahler space's category; the
+        # upper bound is the dimension bound with 3-connectedness.
+        p, q = params
+        _require(p >= q >= 1, "CII requires p >= q >= 1")
+        dimension, connectivity = 4 * p * q, 4
+        lower, upper = kahler_cat(p * q), ganea_upper(dimension, connectivity)
 
-    # CII: the cohomology ring matches the complex Grassmannian's, so the
-    # cup-length lower bound equals that space's exact category; the upper
-    # bound is the dimension bound with 3-connectedness.
-    p, q = params
-    _require(p >= q >= 1, "CII requires p >= q >= 1")
-    lower = describe(ClassicalFamily.AIII, (p, q)).cat_exact
-    upper = ganea_upper(4 * p * q, 4)
+    cat_exact = lower if lower == upper else None
     return SpaceDescriptor(
-        family, params, 4 * p * q, KahlerFlag.NO, 4, lower, upper, p * q
+        family, params, dimension, kahler, connectivity, lower, upper, cat_exact
     )
 
 
-_TABLE_ROWS = (
-    {
-        "family": "AI",
-        "space": "SU(n)/SO(n) (n > 2)",
-        "kahler": "no",
-        "dimension": "(n-1)(n+2)/2",
-        "cat": "n-1",
-    },
-    {
-        "family": "AII",
-        "space": "SU(2n)/Sp(n) (n > 1)",
-        "kahler": "no",
-        "dimension": "(n-1)(2n+1)",
-        "cat": "n-1",
-    },
-    {
-        "family": "AIII",
-        "space": "U(p+q)/(U(p) x U(q)) (p >= q >= 1)",
-        "kahler": "yes",
-        "dimension": "2pq",
-        "cat": "pq",
-    },
-    {
-        "family": "BDI",
-        "space": "SO(p+q)/(SO(p) x SO(q)) (p >= q >= 2; p+q != 4)",
-        "kahler": "yes (q = 2); no (q != 2)",
-        "dimension": "pq",
-        "cat": "p (q = 2); ? (q != 2)",
-    },
-    {
-        "family": "BDII",
-        "space": "SO(n+1)/SO(n) (n >= 2)",
-        "kahler": "yes (n = 2); no (n != 2)",
-        "dimension": "n",
-        "cat": "1",
-    },
-    {
-        "family": "DIII",
-        "space": "SO(2l)/U(l) (l >= 4)",
-        "kahler": "yes",
-        "dimension": "l(l-1)",
-        "cat": "l(l-1)/2",
-    },
-    {
-        "family": "CI",
-        "space": "Sp(n)/U(n) (n >= 3)",
-        "kahler": "yes",
-        "dimension": "n(n+1)",
-        "cat": "n(n+1)/2",
-    },
-    {
-        "family": "CII",
-        "space": "Sp(p+q)/(Sp(p) x Sp(q)) (p >= q >= 1)",
-        "kahler": "no",
-        "dimension": "4pq",
-        "cat": "pq",
-    },
-)
-
 _TABLE_COLUMNS = ("family", "space", "kahler", "dimension", "cat")
+
+#: The symbolic rows, one string per column of _TABLE_COLUMNS.
+_TABLE_ROWS = (
+    ("AI", "SU(n)/SO(n) (n > 2)", "no", "(n-1)(n+2)/2", "n-1"),
+    ("AII", "SU(2n)/Sp(n) (n > 1)", "no", "(n-1)(2n+1)", "n-1"),
+    ("AIII", "U(p+q)/(U(p) x U(q)) (p >= q >= 1)", "yes", "2pq", "pq"),
+    ("BDI", "SO(p+q)/(SO(p) x SO(q)) (p >= q >= 2; p+q != 4)",
+     "yes (q = 2); no (q != 2)", "pq", "p (q = 2); ? (q != 2)"),
+    ("BDII", "SO(n+1)/SO(n) (n >= 2)", "yes (n = 2); no (n != 2)", "n", "1"),
+    ("DIII", "SO(2l)/U(l) (l >= 4)", "yes", "l(l-1)", "l(l-1)/2"),
+    ("CI", "Sp(n)/U(n) (n >= 3)", "yes", "n(n+1)", "n(n+1)/2"),
+    ("CII", "Sp(p+q)/(Sp(p) x Sp(q)) (p >= q >= 1)", "no", "4pq", "pq"),
+)
 
 
 def table_rows() -> tuple[dict, ...]:
     """The eight symbolic rows of the classification table."""
-    return tuple(dict(row) for row in _TABLE_ROWS)
+    return tuple(dict(zip(_TABLE_COLUMNS, row)) for row in _TABLE_ROWS)
 
 
 def render_table(fmt: str = "md") -> str:
     """Render the table as 'csv', 'md', or 'json' text."""
     if fmt == "csv":
-        buf = io.StringIO()
-        buf.write(",".join(_TABLE_COLUMNS) + "\n")
-        for row in _TABLE_ROWS:
-            buf.write(",".join(row[c] for c in _TABLE_COLUMNS) + "\n")
-        return buf.getvalue()
+        return "".join(",".join(row) + "\n" for row in (_TABLE_COLUMNS, *_TABLE_ROWS))
     if fmt == "md":
-        lines = [
-            "| " + " | ".join(_TABLE_COLUMNS) + " |",
-            "| " + " | ".join("---" for _ in _TABLE_COLUMNS) + " |",
-        ]
-        for row in _TABLE_ROWS:
-            lines.append("| " + " | ".join(row[c] for c in _TABLE_COLUMNS) + " |")
-        return "\n".join(lines) + "\n"
+        rule = tuple("---" for _ in _TABLE_COLUMNS)
+        rows = (_TABLE_COLUMNS, rule, *_TABLE_ROWS)
+        return "".join("| " + " | ".join(row) + " |\n" for row in rows)
     if fmt == "json":
         return json.dumps(list(table_rows()), indent=None) + "\n"
     raise ValueError(f"unknown table format {fmt!r}")
 
-
-def descriptor_to_json(d: SpaceDescriptor) -> dict:
-    return {
-        "family": d.family.value,
-        "params": list(d.params),
-        "dimension": d.dimension,
-        "kahler": d.kahler.value,
-        "connectivity": d.connectivity,
-        "cat_lower": d.cat_lower,
-        "cat_upper": d.cat_upper,
-        "cat_exact": d.cat_exact,
-    }

@@ -3,8 +3,8 @@
 JSON records go to stdout (one document per line), human-readable summaries
 go to stderr.  Exit codes: 0 success, 1 domain errors, 2 usage errors.
 All randomness comes from --seed; there is no ambient entropy.  The
-records of log, contract and cover are the fields of the library's
-result dataclasses, in their declared order.
+records of log, contract, cover and describe are the fields of the
+library's result dataclasses, in their declared order.
 
 The commands live in one table, _COMMANDS.  A run whose first argument
 names a command parses the rest with that command's parser alone and hands
@@ -27,7 +27,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .catbounds import ClassicalFamily, describe, descriptor_to_json, render_table
+from .catbounds import ClassicalFamily, describe, render_table
 from .cover import classify, cover_audit, default_cover
 from .errors import LscatError
 from .factorizations import factor_aii, factor_symmetric
@@ -243,8 +243,7 @@ def _cmd_table(parser, args) -> int:
 
 
 def _cmd_describe(parser, args) -> int:
-    descriptor = describe(ClassicalFamily(args.family.upper()), args.params)
-    _emit(descriptor_to_json(descriptor))
+    _emit(vars(describe(ClassicalFamily(args.family.upper()), args.params)))
     return 0
 
 

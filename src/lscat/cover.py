@@ -112,8 +112,9 @@ def multiplicity_audit(point: SpacePoint) -> list[tuple[complex, int]]:
     """Clustered spectrum of a twisted-family member with multiplicities.
 
     Every eigenvalue of an AII member has even multiplicity (conjugating an
-    eigenvector by J yields an independent one), so any odd cluster means a
-    clustering failure or a non-member and raises OddMultiplicity.
+    eigenvector by J yields an independent one).  Raises NoConvergence when
+    single linkage chains distinct eigenvalues into one cluster wider than
+    10 CLUSTER_TOL, and OddMultiplicity when a cluster has odd size.
     """
     if point.kind.family is not Family.AII:
         raise DimensionMismatch("multiplicity audit applies to AII points")
@@ -128,7 +129,7 @@ def multiplicity_audit(point: SpacePoint) -> list[tuple[complex, int]]:
     for cluster in cluster_angles(angles, CLUSTER_TOL):
         spread = float(np.max(angular_distance(angles[cluster][:, None], angles[cluster])))
         if spread > 10.0 * CLUSTER_TOL:
-            raise OddMultiplicity(
+            raise NoConvergence(
                 f"cluster spread {spread:.3e} exceeds 10x CLUSTER_TOL"
             )
         if len(cluster) % 2:

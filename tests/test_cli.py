@@ -172,6 +172,35 @@ def test_describe_command(capsys):
     assert json.loads(out)["cat_exact"] is None
 
 
+# The exact bytes `lscat describe` writes for rows of all eight families.
+_DESCRIBE_RECORDS = [
+    ("ai", "3",
+     '{"family": "AI", "params": [3], "dimension": 5, "kahler": "no", "connectivity": null, "cat_lower": 2, "cat_upper": 2, "cat_exact": 2}'),
+    ("aii", "2",
+     '{"family": "AII", "params": [2], "dimension": 5, "kahler": "no", "connectivity": null, "cat_lower": 1, "cat_upper": 1, "cat_exact": 1}'),
+    ("aiii", "3,2",
+     '{"family": "AIII", "params": [3, 2], "dimension": 12, "kahler": "yes", "connectivity": null, "cat_lower": 6, "cat_upper": 6, "cat_exact": 6}'),
+    ("bdi", "4,2",
+     '{"family": "BDI", "params": [4, 2], "dimension": 8, "kahler": "yes", "connectivity": null, "cat_lower": 4, "cat_upper": 4, "cat_exact": 4}'),
+    ("bdi", "5,3",
+     '{"family": "BDI", "params": [5, 3], "dimension": 15, "kahler": "no", "connectivity": null, "cat_lower": null, "cat_upper": null, "cat_exact": null}'),
+    ("bdii", "5",
+     '{"family": "BDII", "params": [5], "dimension": 5, "kahler": "no", "connectivity": 5, "cat_lower": 1, "cat_upper": 1, "cat_exact": 1}'),
+    ("diii", "4",
+     '{"family": "DIII", "params": [4], "dimension": 12, "kahler": "yes", "connectivity": null, "cat_lower": 6, "cat_upper": 6, "cat_exact": 6}'),
+    ("ci", "3",
+     '{"family": "CI", "params": [3], "dimension": 12, "kahler": "yes", "connectivity": null, "cat_lower": 6, "cat_upper": 6, "cat_exact": 6}'),
+    ("cii", "2,1",
+     '{"family": "CII", "params": [2, 1], "dimension": 8, "kahler": "no", "connectivity": 4, "cat_lower": 2, "cat_upper": 2, "cat_exact": 2}'),
+]
+
+
+@pytest.mark.parametrize("family, params, record", _DESCRIBE_RECORDS)
+def test_describe_record_bytes(capsys, family, params, record):
+    code, out, _ = invoke(capsys, ["describe", "--family", family, "--params", params])
+    assert code == 0 and out == record + "\n"
+
+
 def test_fixed_gate_rejects_near_member(capsys, tmp_path):
     # a slightly perturbed member fails at the fixed membership gate
     path = tmp_path / "near.ndjson"

@@ -151,6 +151,15 @@ def test_multiplicity_audit_rejects_nonmember():
         multiplicity_audit(SpacePoint(SpaceKind.aii(3), X))
 
 
+def test_multiplicity_audit_chained_cluster_is_no_convergence():
+    # 13 doubled eigenvalues 0.9e-6 apart: single linkage chains them into
+    # one cluster of even size whose spread exceeds 10 CLUSTER_TOL
+    pt = diagonal_aii_member(np.exp(1j * (np.arange(13) - 6) * 0.9e-6))
+    assert is_member(pt.kind, pt.matrix).member
+    with pytest.raises(NoConvergence, match="cluster spread"):
+        multiplicity_audit(pt)
+
+
 def test_cover_audit_full_coverage():
     report = cover_audit(SpaceKind.ai(3), trials=500, seed=2)
     assert report.covered_fraction == 1.0
