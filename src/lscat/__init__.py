@@ -48,7 +48,6 @@ from .homotopy import (
 from .linalg_core import (
     EigenDecomposition,
     eig_normal,
-    exp_skew_hermitian,
     matrix_from_json,
     matrix_to_json,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "contract",
     "EigenDecomposition",
     "eig_normal",
-    "exp_skew_hermitian",
     "matrix_from_json",
     "matrix_to_json",
     "Family",

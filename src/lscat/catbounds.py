@@ -21,8 +21,8 @@ Everything in this module is exact integer arithmetic.
 from __future__ import annotations
 
 import json
-import numbers
 import operator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -146,7 +146,7 @@ def _integer(value) -> int:
 
 
 def _params_tuple(family: ClassicalFamily, params) -> tuple[int, ...]:
-    if isinstance(params, (numbers.Number, str)):
+    if isinstance(params, str) or not isinstance(params, Iterable):  # one parameter
         params = (params,)
     params = tuple(_integer(p) for p in params)
     expected = 2 if family in (ClassicalFamily.AIII, ClassicalFamily.BDI, ClassicalFamily.CII) else 1

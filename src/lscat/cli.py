@@ -225,7 +225,7 @@ def _cmd_cover(parser, args) -> int:
             parser.error("--seed is required for a cover audit")
         kind = _kind_from_flags(parser, args)
         report = vars(cover_audit(kind, args.trials, args.seed))
-        _emit({field: value for field, value in report.items() if field != "kind"})
+        _emit(report)
         _note(f"cover audit: fraction {report['covered_fraction']}")
         return 0
     if args.input is None:

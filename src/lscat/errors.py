@@ -18,10 +18,6 @@ class NoConvergence(LscatError):
     """A kernel's result failed its final residual check."""
 
 
-class NotSkewHermitian(LscatError):
-    """Input is not skew-Hermitian."""
-
-
 class NotInSpace(LscatError):
     """Matrix fails the membership laws of the requested space."""
 

@@ -55,7 +55,6 @@ class PathSample:
 class HomotopyPath:
     """Sampled contraction from source to the scalar target, cut at alpha in [0, 2 pi)."""
 
-    source: SpacePoint
     alpha: float
     target_scalar: complex
     samples: tuple[PathSample, ...]
@@ -132,7 +131,7 @@ def _contraction(point: SpacePoint, alpha: float | None, steps: int) -> Homotopy
                 )
             yield PathSample(s=s, point=SpacePoint(kind, F), residuals=report)
 
-    return HomotopyPath(point, alpha, complex(np.exp(1j * angle_target)), samples())
+    return HomotopyPath(alpha, complex(np.exp(1j * angle_target)), samples())
 
 
 def contract(point: SpacePoint, alpha: float | None = None, steps: int = 16) -> HomotopyPath:

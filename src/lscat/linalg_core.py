@@ -1,12 +1,12 @@
 """Dense complex matrix kernels shared by the whole package.
 
-Two operations carry all the analytic weight elsewhere: an
+One operation carries all the analytic weight elsewhere: the
 eigendecomposition of unitary matrices, from which every spectrum of a
-point is read, and the matrix exponential of a skew-Hermitian matrix.
+point, and every logarithm and path formed on it, is read.
 
-Everything is reduced to Hermitian eigensolves: a unitary matrix splits
-into commuting Hermitian parts, and a solve of a weighted combination
-recovers a joint eigenbasis.  One solve of the fixed weight takes a whole
+It is reduced to Hermitian eigensolves: a unitary matrix splits into
+commuting Hermitian parts, and a solve of a weighted combination recovers
+a joint eigenbasis.  One solve of the fixed weight takes a whole
 (T, m, m) stack, each matrix gated as near-unitary.  The weight can fold
 two eigenvalues together, so a matrix failing its residual check is solved
 again by its Cayley transform, Hermitian and one-to-one on the spectrum,
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NotSkewHermitian, NotUnitary
+from .errors import NoConvergence, NotUnitary
 
 TWO_PI = 2.0 * np.pi
 
@@ -163,19 +163,6 @@ def eig_normal(X) -> EigenDecomposition:
     (V,), (lam,) = _eig_stack(as_matrix(X)[None])
     order = np.lexsort((lam.imag, np.angle(lam)))
     return EigenDecomposition(V[:, order], lam[order])
-
-
-def exp_skew_hermitian(H) -> np.ndarray:
-    """Unitary exponential of a skew-Hermitian matrix.
-
-    Diagonalizes -iH (Hermitian) and exponentiates the eigenvalues, so the
-    result is unitary by construction up to roundoff.
-    """
-    H = as_matrix(H)
-    if frobenius(H + H.conj().T) > 100.0 * MEMBERSHIP_TOL * (frobenius(H) or 1.0):
-        raise NotSkewHermitian("matrix is not skew-Hermitian")
-    w, V = np.linalg.eigh(-1j * H)
-    return (V * np.exp(1j * w)) @ V.conj().T
 
 
 def matrix_to_json(m) -> dict:

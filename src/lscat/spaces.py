@@ -6,6 +6,12 @@ X in SU(2n) obeying tX = J X tJ for the structural block matrix J.
 This module provides the membership predicates, J itself, and Haar
 sampling through the transitive group actions.
 
+The AII laws cut out two components, each a copy of SU(2n)/Sp(n): the two
+congruence orbits that factor_skew tells apart.  Samples, and the paper's
+space, lie in J's component; is_member accepts both (for odd n, E is in the
+other).  A member whose branch logarithm winds k times is in J's exactly
+when k + n is even.
+
 J's block layout and sign live in _swap_halves alone: here and in
 factorizations every product with J is a signed swap of a matrix's halves.
 

@@ -166,7 +166,8 @@ def test_describe_cii_row():
 
 
 @pytest.mark.parametrize(
-    "params, shown", [((3.7,), "3.7"), (("5",), "'5'"), (3.7, "3.7"), ("5", "'5'")]
+    "params, shown",
+    [((3.7,), "3.7"), (("5",), "'5'"), (3.7, "3.7"), ("5", "'5'"), (None, "None")],
 )
 def test_describe_rejects_non_integer_params(params, shown):
     with pytest.raises(InvalidParams, match=f"got {shown}$"):

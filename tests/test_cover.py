@@ -38,10 +38,9 @@ def diagonal_aii_member(halves):
 def test_default_cover_small_values():
     cfg = default_cover(SpaceKind.ai(1))
     assert cfg.lambdas == (pytest.approx(1j),)
-    assert cfg.certificate == pytest.approx(1j)
     cfg = default_cover(SpaceKind.aii(2))
     assert np.allclose(cfg.lambdas, [np.exp(1.25j * np.pi), np.exp(0.25j * np.pi)])
-    assert cfg.certificate == pytest.approx(-1.0)
+    assert np.prod(cfg.lambdas) ** 2 == pytest.approx(-1.0)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -54,10 +53,14 @@ def test_default_cover_certificate_properties(family, n):
     angles = np.sort(np.mod(np.angle(lam), TWO_PI))
     if n > 1:
         assert np.min(np.diff(angles)) > 1e-6
-    assert abs(cfg.certificate) == pytest.approx(1.0)
-    assert abs(cfg.certificate - 1.0) >= 0.5
+    # no member has every lambda as an eigenvalue: that would make their
+    # product (AI) or its square (AII) 1, and it is +-i or -1
+    product = np.prod(lam)
+    certificate = product if family is Family.AI else product**2
+    assert abs(certificate) == pytest.approx(1.0)
+    assert abs(certificate - 1.0) >= 0.5
     if family is Family.AII:
-        assert cfg.certificate == pytest.approx(-1.0)
+        assert certificate == pytest.approx(-1.0)
 
 
 def test_classify_identity_margins():
@@ -153,11 +156,12 @@ def test_multiplicity_audit_rejects_nonmember():
 
 def test_multiplicity_audit_chained_cluster_is_no_convergence():
     # 13 doubled eigenvalues 0.9e-6 apart: single linkage chains them into
-    # one cluster of even size whose spread exceeds 10 CLUSTER_TOL
+    # one even cluster, reported at its mean, 1
     pt = diagonal_aii_member(np.exp(1j * (np.arange(13) - 6) * 0.9e-6))
     assert is_member(pt.kind, pt.matrix).member
-    with pytest.raises(NoConvergence, match="cluster spread"):
-        multiplicity_audit(pt)
+    [(eigenvalue, multiplicity)] = multiplicity_audit(pt)
+    assert multiplicity == 26
+    assert eigenvalue == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cover_audit_full_coverage():

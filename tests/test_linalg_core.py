@@ -1,13 +1,12 @@
-"""Tests for the eigen kernels, the skew exponential, and matrix JSON."""
+"""Tests for the eigen kernels and matrix JSON."""
 
 import json
 import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 
-from lscat.errors import NoConvergence, NotInSpace, NotSkewHermitian, NotUnitary
+from lscat.errors import NoConvergence, NotInSpace, NotUnitary
 from lscat.linalg_core import (
     _MIX_WEIGHT,
     BRANCH_MARGIN,
@@ -18,7 +17,6 @@ from lscat.linalg_core import (
     as_matrix,
     cluster_angles,
     eig_normal,
-    exp_skew_hermitian,
     matrix_from_json,
     matrix_to_json,
 )
@@ -238,34 +236,6 @@ def test_eig_stack_unitary_gate_checks_every_matrix():
         _eig_stack(np.array([[[1.0, 1.0], [0.0, 1.0]]], dtype=complex))
     lam = _eig_stack(np.array([np.eye(2), np.diag([1j, -1j])], dtype=complex))[1]
     assert np.array_equal(lam[0], [1, 1]) and np.array_equal(np.sort_complex(lam[1]), [-1j, 1j])
-
-
-def test_exp_skew_zero_and_period():
-    assert np.allclose(exp_skew_hermitian(np.zeros((3, 3))), np.eye(3))
-    assert np.allclose(exp_skew_hermitian(2j * np.pi * np.eye(4)), np.eye(4), atol=1e-12)
-
-
-def test_exp_skew_diagonal_values():
-    U = exp_skew_hermitian(np.diag([0.5j * np.pi, 1.5j * np.pi]))
-    assert np.allclose(U, np.diag([1j, -1j]), atol=1e-12)
-
-
-def test_exp_skew_rejects_hermitian():
-    with pytest.raises(NotSkewHermitian):
-        exp_skew_hermitian(np.eye(2))
-
-
-def test_exp_skew_matches_scipy_and_preserves_unitarity():
-    rng = np.random.default_rng(23)
-    for _ in range(50):
-        m = int(rng.integers(1, 7))
-        A = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        H = A - A.conj().T
-        U = exp_skew_hermitian(H)
-        assert np.linalg.norm(U - scipy.linalg.expm(H)) < 1e-10
-        assert np.linalg.norm(U @ U.conj().T - np.eye(m)) <= 1e-9
-        # det(exp H) = exp(tr H)
-        assert abs(np.linalg.det(U) - np.exp(np.trace(H))) < 1e-9 * abs(np.exp(np.trace(H)))
 
 
 def test_angular_distance_folding():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from lscat.cover import _margins, classify, default_cover, multiplicity_audit
 from lscat.errors import ComponentObstruction
 from lscat.factorizations import factor_aii, factor_symmetric
-from lscat.homotopy import branch_log
+from lscat.homotopy import _lift, _spectrum, branch_log
 from lscat.linalg_core import (
     _MIX_WEIGHT,
     CLUSTER_TOL,
@@ -17,9 +17,16 @@ from lscat.linalg_core import (
     _eig_stack,
     angular_distance,
     eig_normal,
-    exp_skew_hermitian,
 )
-from lscat.spaces import Family, SpaceKind, SpacePoint, is_member, structural_J
+from lscat.spaces import (
+    Family,
+    SpaceKind,
+    SpacePoint,
+    haar_special_unitary,
+    is_member,
+    sample_points,
+    structural_J,
+)
 
 
 def _parent_margins(config, X):
@@ -145,7 +152,7 @@ def test_witness_margin_floor_and_log_at_the_witness(case):
         assert cls.margins[cls.witness] >= np.pi / (2 * kind.n) - 10 * MEMBERSHIP_TOL
         bl = branch_log(X, float(np.angle(config.lambdas[cls.witness])))
         scale = max(np.linalg.norm(X), 1.0)
-        assert np.linalg.norm(exp_skew_hermitian(bl.H) - X) <= 10 * MEMBERSHIP_TOL * scale
+        assert np.linalg.norm(scipy.linalg.expm(bl.H) - X) <= 10 * MEMBERSHIP_TOL * scale
         turns = np.trace(bl.H).imag / (2 * np.pi)
         assert abs(turns - round(turns)) <= 1e-9
 
@@ -160,6 +167,34 @@ def test_aii_multiplicities_are_even(case):
         sizes = [size for _, size in multiplicity_audit(SpacePoint(kind, X))]
         assert all(size % 2 == 0 for size in sizes)
         assert sum(sizes) == kind.ambient_size
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_aii_component_is_the_parity_of_winding_plus_n(n):
+    # along exp(tH) the Pfaffian of tJ X turns by (-1)^k, so a member whose
+    # logarithm winds k times lies in J's component, where factor_aii finds a
+    # factor, exactly when k + n is even.  Haar points lie there; X -> g X J tg tJ
+    # keeps X's component, and the starts reach both of them for every n.
+    kind, J = SpaceKind.aii(n), structural_J(n)
+    rng = np.random.default_rng(100 + n)
+    d = np.ones(n)
+    d[0] = -1.0
+    points = sample_points(kind, 10, seed=n)
+    for X in (np.eye(2 * n), -np.eye(2 * n), np.diag(np.concatenate([d, d]))):
+        for _ in range(10):
+            g = haar_special_unitary(2 * n, rng)
+            points.append(SpacePoint(kind, g @ X @ J @ g.T @ J.T))
+    odd_seen = set()
+    for point in points:
+        assert is_member(kind, point.matrix).member
+        odd = (_lift(*_spectrum(point, None))[3] + n) % 2 == 1
+        if odd:
+            with pytest.raises(ComponentObstruction):
+                factor_aii(point)
+        else:
+            factor_aii(point)
+        odd_seen.add(odd)
+    assert odd_seen == {False, True}
 
 
 @settings(max_examples=3, deadline=None, derandomize=True, database=None)
