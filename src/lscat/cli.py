@@ -7,13 +7,11 @@ records of log, contract, cover and describe are the fields of the
 library's result dataclasses, in their declared order.
 
 The commands live in one table, _COMMANDS.  A run whose first argument
-names a command parses the rest with that command's parser alone and hands
-it to the command to report usage errors.  The full parser, with a
-subparser per command, is used only when the first argument names no
-command (none, -h, a typo), and to report arguments the command leaves
-unparsed with the usage line of every command.  A process builds each
-parser at most once and reuses it: the parsers keep no state between
-parses, and argparse looks up sys.stdout and sys.stderr when it prints.
+names a command parses the rest with that command's parser alone, so
+each usage error of a command prints that command's usage; the full
+parser, with a subparser per command, parses any other argv (none, -h, a
+typo).  Each parser is built once per process: parsers keep no state
+between parses, and argparse looks up sys.stdout and sys.stderr to print.
 """
 
 from __future__ import annotations
@@ -131,7 +129,11 @@ def _read_records(path: str) -> Iterator:
     try:
         for line in stream:
             if line.strip():
-                yield json.loads(line)
+                try:
+                    record = json.loads(line)
+                except RecursionError:
+                    raise ValueError("record nests too deeply") from None
+                yield record
     finally:
         if stream is not sys.stdin:
             stream.close()
@@ -228,8 +230,6 @@ def _cmd_cover(parser, args) -> int:
         _emit(report)
         _note(f"cover audit: fraction {report['covered_fraction']}")
         return 0
-    if args.input is None:
-        parser.error("cover needs --input (classify) or --trials (audit)")
     for point in _points_from_input(parser, args):
         cls = classify(default_cover(point.kind), point)
         _emit(vars(cls))
@@ -254,10 +254,9 @@ def _add_space(p) -> None:
                    f"is at most {_MAX_SIDE}")
 
 
-def _add_common(p, input_default="-") -> None:
+def _add_common(p) -> None:
     _add_space(p)
-    p.add_argument("--input", default=input_default,
-                   help="path to NDJSON records, '-' for stdin")
+    p.add_argument("--input", default="-", help="path to NDJSON records, '-' for stdin")
 
 
 def _log_args(p) -> None:
@@ -279,10 +278,11 @@ def _contract_args(p) -> None:
 
 
 def _cover_args(p) -> None:
-    _add_common(p, input_default=None)
-    p.add_argument("--trials", type=_positive_int, default=None,
-                   help="run an audit with this many samples")
-    p.add_argument("--seed", type=_seed, default=None)
+    _add_space(p)
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--input", help="path to NDJSON records, '-' for stdin")
+    mode.add_argument("--trials", type=_positive_int, help="run an audit with this many samples")
+    p.add_argument("--seed", type=_seed)
 
 
 def _table_args(p) -> None:
@@ -344,15 +344,13 @@ def run(argv: list[str]) -> int:
     argv = _attach_alpha(argv)
     try:
         if argv and argv[0] in _COMMANDS:
-            args, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
-            if extra:  # reported by the full parser, as its subparser would
-                _build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
+            args = _command_parser(argv[0]).parse_args(argv[1:])
         else:
             args = _build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # a usage error, in parsing or from a command's parser
         return int(exc.code or 0)
-    except (LscatError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (LscatError, ValueError, KeyError, OSError) as exc:
         _note(f"error: {exc}")
         return 1
 

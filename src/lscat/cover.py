@@ -29,7 +29,6 @@ import numpy as np
 from .errors import DimensionMismatch, NoConvergence, NotInSpace, OddMultiplicity
 from .linalg_core import (
     BRANCH_MARGIN,
-    CLUSTER_TOL,
     MEMBERSHIP_TOL,
     _eig_stack,
     angular_distance,
@@ -125,7 +124,7 @@ def multiplicity_audit(point: SpacePoint) -> list[tuple[complex, int]]:
     eig = _eig_stack(point.matrix[None])[1][0]
     angles = np.angle(eig)
     out = []
-    for cluster in cluster_angles(angles, CLUSTER_TOL):
+    for cluster in cluster_angles(angles):
         if len(cluster) % 2:
             raise OddMultiplicity(f"eigenvalue cluster of odd size {len(cluster)} found")
         rep = complex(np.mean(eig[cluster]))

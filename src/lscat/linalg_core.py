@@ -82,8 +82,8 @@ def angular_distance(a, b):
     return np.abs(np.mod(np.asarray(a) - b + np.pi, TWO_PI) - np.pi)
 
 
-def cluster_angles(angles, tol: float) -> list[np.ndarray]:
-    """Single-linkage clusters of angles on the circle, linking gaps <= tol.
+def cluster_angles(angles) -> list[np.ndarray]:
+    """Single-linkage clusters of angles on the circle, linking gaps <= CLUSTER_TOL.
 
     Returns index arrays into the input; the wrap-around gap links the first
     and last sorted groups.  Cluster order follows the sorted angles.
@@ -94,8 +94,8 @@ def cluster_angles(angles, tol: float) -> list[np.ndarray]:
     order = np.argsort(angles, kind="stable")
     sorted_angles = angles[order]
     gaps = np.diff(sorted_angles)
-    pieces = np.split(order, np.nonzero(gaps > tol)[0] + 1)
-    if len(pieces) > 1 and TWO_PI - (sorted_angles[-1] - sorted_angles[0]) <= tol:
+    pieces = np.split(order, np.nonzero(gaps > CLUSTER_TOL)[0] + 1)
+    if len(pieces) > 1 and TWO_PI - (sorted_angles[-1] - sorted_angles[0]) <= CLUSTER_TOL:
         pieces[0] = np.concatenate([pieces.pop(), pieces[0]])
     return pieces
 

@@ -24,6 +24,7 @@ one-matrix draw bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
@@ -59,8 +60,10 @@ class SpaceKind:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be a positive integer")
+        n = self.n
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"n must be a positive integer, got {n!r}")
+        object.__setattr__(self, "n", int(n))
 
     @property
     def ambient_size(self) -> int:

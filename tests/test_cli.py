@@ -263,7 +263,11 @@ def test_usage_errors_inside_a_command_print_its_usage(capsys):
         (["sample", "--space", "aii", "--n", "2049", "--seed", "1"],
          "lscat sample: error: matrix side 4098 is above the ceiling 4096"),
         (["cover", "--space", "ai", "--n", "2"],
-         "lscat cover: error: cover needs --input (classify) or --trials (audit)"),
+         "lscat cover: error: one of the arguments --input --trials is required"),
+        # given both modes, cover neither audits nor opens the input
+        (["cover", "--space", "ai", "--n", "3", "--input", "missing.ndjson",
+          "--trials", "5", "--seed", "1"],
+         "lscat cover: error: argument --trials: not allowed with argument --input"),
         (["cover", "--space", "ai", "--n", "3", "--trials", "5"],
          "lscat cover: error: --seed is required for a cover audit"),
         (["sample", "--space", "ai", "--n", "x", "--seed", "1"],
@@ -342,12 +346,12 @@ def test_help_lists_every_command(capsys):
         assert f"    {name}" in out and help_text in out
         code, out_cmd, _ = invoke(capsys, [name, "--help"])
         assert code == 0 and out_cmd.startswith(f"usage: lscat {name} [-h]")
-    # tokens a command leaves unparsed print the usage line of every command
-    for name in ("table", "cover"):
-        code, _, err = invoke(capsys, [name, "--bogus"])
+    # tokens a command leaves unparsed print that command's usage line
+    for name, *argv in (["table"], ["cover", "--input", os.devnull]):
+        code, _, err = invoke(capsys, [name, *argv, "--bogus"])
         assert code == 2
-        assert err.startswith(f"usage: lscat [-h] {choices} ...\n")
-        assert err.endswith("lscat: error: unrecognized arguments: --bogus\n")
+        assert err.startswith(f"usage: lscat {name} [-h] ")
+        assert err.endswith(f"lscat {name}: error: unrecognized arguments: --bogus\n")
     # a command's options take abbreviations, --help among them
     assert invoke(capsys, ["cover", "--he"]) == invoke(capsys, ["cover", "--help"])
     # errors about the command itself name the argument "command"
@@ -454,6 +458,16 @@ def test_input_records_are_streamed(capsys, tmp_path):
     path.write_text(first + "{not json\n")
     code, out, err = invoke(capsys, ["check", "--input", str(path)])
     assert code == 1 and "error:" in err
+    assert len(out.splitlines()) == 1 and json.loads(out)["member"] is True
+
+
+def test_deeply_nested_record_is_a_domain_error(capsys, tmp_path):
+    path, first = sample_to_file(
+        capsys, tmp_path, ["--space", "ai", "--n", "2", "--count", "1", "--seed", "4"]
+    )
+    path.write_text(first + "[" * 200000 + "\n")
+    code, out, err = invoke(capsys, ["check", "--input", str(path)])
+    assert code == 1 and err == "error: record nests too deeply\n"
     assert len(out.splitlines()) == 1 and json.loads(out)["member"] is True
 
 

@@ -154,7 +154,7 @@ def test_multiplicity_audit_rejects_nonmember():
         multiplicity_audit(SpacePoint(SpaceKind.aii(3), X))
 
 
-def test_multiplicity_audit_chained_cluster_is_no_convergence():
+def test_multiplicity_audit_chained_cluster_is_one_even_cluster_of_26():
     # 13 doubled eigenvalues 0.9e-6 apart: single linkage chains them into
     # one even cluster, reported at its mean, 1
     pt = diagonal_aii_member(np.exp(1j * (np.arange(13) - 6) * 0.9e-6))

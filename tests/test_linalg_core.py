@@ -245,13 +245,14 @@ def test_angular_distance_folding():
 
 
 def test_cluster_angles_wraparound():
-    angles = np.array([0.01, -0.01, np.pi / 2])
-    clusters = cluster_angles(angles, 0.1)
+    # the first two are 0.8 CLUSTER_TOL apart across the cut at pi
+    angles = np.array([np.pi - 0.4 * CLUSTER_TOL, -np.pi + 0.4 * CLUSTER_TOL, np.pi / 2])
+    clusters = cluster_angles(angles)
     sizes = sorted(len(c) for c in clusters)
     assert sizes == [1, 2]
     merged = next(c for c in clusters if len(c) == 2)
     assert set(merged) == {0, 1}
-    assert cluster_angles([], CLUSTER_TOL) == []
+    assert cluster_angles([]) == []
 
 
 def test_matrix_json_roundtrip():

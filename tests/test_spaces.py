@@ -1,5 +1,7 @@
 """Tests for membership predicates, the structural matrix, and sampling."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,14 @@ def test_kind_ambient_size():
     assert SpaceKind.aii(4).ambient_size == 8
     with pytest.raises(ValueError):
         SpaceKind.ai(0)
+
+
+def test_kind_rejects_non_integer_n():
+    for n in (2.5, 3.0, True, "3", None, np.float64(3.0)):
+        with pytest.raises(ValueError, match=re.escape(f"got {n!r}")):
+            SpaceKind.ai(n)
+    kind = SpaceKind.aii(np.int64(3))
+    assert type(kind.n) is int and kind == SpaceKind.aii(3)
 
 
 def test_is_member_identity_cases():
