@@ -1,17 +1,17 @@
 """Command-line front end.
 
 JSON records go to stdout (one document per line), human-readable summaries
-go to stderr.  Exit codes: 0 success, 1 domain errors, 2 usage errors.
-All randomness comes from --seed; there is no ambient entropy.  The
-records of log, contract, cover and describe are the fields of the
+go to stderr.  Exit codes, set by run alone: 0 success, 1 domain errors
+(handlers raise them), 2 usage errors.  All randomness comes from --seed.
+The records of log, contract, cover and describe are the fields of the
 library's result dataclasses, in their declared order.
 
-The commands live in one table, _COMMANDS.  A run whose first argument
-names a command parses the rest with that command's parser alone, so
-each usage error of a command prints that command's usage; the full
-parser, with a subparser per command, parses any other argv (none, -h, a
-typo).  Each parser is built once per process: parsers keep no state
-between parses, and argparse looks up sys.stdout and sys.stderr to print.
+The commands live in one table, _COMMANDS.  Each declares its arguments
+once, on its own parser, which parses a run whose first argument names the
+command, so its usage errors print its usage; the full parser, whose
+subparsers take their arguments from the command parsers, parses any other
+argv (none, -h, a typo).  Each parser is built once per process: parsers
+keep no state, and argparse looks up sys.stdout and sys.stderr to print.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ def _int_tuple(text: str) -> tuple[int, ...]:
 def _kind_from_flags(parser, args) -> SpaceKind:
     if args.space is None or args.n is None:
         parser.error("--space and --n are required here")
-    kind = SpaceKind(Family(args.space.upper()), args.n)
+    kind = SpaceKind(args.space.upper(), args.n)
     if kind.ambient_size > _MAX_SIDE:
         parser.error(f"matrix side {kind.ambient_size} is above the ceiling {_MAX_SIDE}")
     return kind
@@ -161,27 +161,25 @@ def _membership_json(point: SpacePoint, report) -> dict:
     return doc
 
 
-def _cmd_sample(parser, args) -> int:
+def _cmd_sample(parser, args) -> None:
     """Print each chunk of points as it is drawn, so memory does not grow with --count."""
     kind = _kind_from_flags(parser, args)
     for stack in _member_stacks(kind, args.count, args.seed):
         for X in stack:
             _emit(point_to_json(SpacePoint(kind, X)))
     _note(f"sampled {args.count} point(s) of {kind.family.value}({kind.n})")
-    return 0
 
 
-def _cmd_check(parser, args) -> int:
+def _cmd_check(parser, args) -> None:
     worst = 0.0
     for point in _points_from_input(parser, args):
         report = is_member(point.kind, point.matrix)
         worst = max(worst, report.max_residual)
         _emit(_membership_json(point, report))
     _note(f"checked membership; worst residual {worst:.3e}")
-    return 0
 
 
-def _cmd_factor(parser, args) -> int:
+def _cmd_factor(parser, args) -> None:
     for point in _points_from_input(parser, args):
         if point.kind.family is Family.AI:
             result = factor_symmetric(point.matrix)
@@ -189,18 +187,16 @@ def _cmd_factor(parser, args) -> int:
             result = factor_aii(point)
         _emit({"P": matrix_to_json(result.P), "residual": result.residual})
         _note(f"factored with residual {result.residual:.3e}")
-    return 0
 
 
-def _cmd_log(parser, args) -> int:
+def _cmd_log(parser, args) -> None:
     for point in _points_from_input(parser, args):
         bl = _branch_log(*_spectrum(point, args.alpha))
         _emit({**vars(bl), "H": matrix_to_json(bl.H)})
         _note(f"branch log at alpha={bl.alpha:.6f}: winding {bl.winding}")
-    return 0
 
 
-def _cmd_contract(parser, args) -> int:
+def _cmd_contract(parser, args) -> None:
     """One JSON list of samples per point, written element by element."""
     for point in _points_from_input(parser, args):
         path = _contraction(point, args.alpha, args.steps)
@@ -218,10 +214,9 @@ def _cmd_contract(parser, args) -> int:
             f"contracted in {args.steps} steps to scalar "
             f"{path.target_scalar:.6f}; max residual {worst:.3e}"
         )
-    return 0
 
 
-def _cmd_cover(parser, args) -> int:
+def _cmd_cover(parser, args) -> None:
     if args.trials is not None:
         if args.seed is None:
             parser.error("--seed is required for a cover audit")
@@ -229,22 +224,19 @@ def _cmd_cover(parser, args) -> int:
         report = vars(cover_audit(kind, args.trials, args.seed))
         _emit(report)
         _note(f"cover audit: fraction {report['covered_fraction']}")
-        return 0
+        return
     for point in _points_from_input(parser, args):
         cls = classify(default_cover(point.kind), point)
         _emit(vars(cls))
         _note(f"classified; witness set {cls.witness}")
-    return 0
 
 
-def _cmd_table(parser, args) -> int:
+def _cmd_table(parser, args) -> None:
     sys.stdout.write(render_table(args.format))
-    return 0
 
 
-def _cmd_describe(parser, args) -> int:
+def _cmd_describe(parser, args) -> None:
     _emit(vars(describe(ClassicalFamily(args.family.upper()), args.params)))
-    return 0
 
 
 def _add_space(p) -> None:
@@ -310,18 +302,14 @@ _COMMANDS = {
 }
 
 
-def _command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    """Add command name's arguments to parser and bind its handler to parser."""
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of command name alone, with its arguments and its handler bound to it."""
+    parser = argparse.ArgumentParser(prog=f"lscat {name}")
     _, add_arguments, handler = _COMMANDS[name]
     add_arguments(parser)
     parser.set_defaults(func=functools.partial(handler, parser))
     return parser
-
-
-@functools.cache
-def _command_parser(name: str) -> argparse.ArgumentParser:
-    """The parser of command name alone."""
-    return _command(argparse.ArgumentParser(prog=f"lscat {name}"), name)
 
 
 @functools.cache
@@ -335,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _, _) in _COMMANDS.items():
-        _command(sub.add_parser(name, help=help_text), name)
+        sub.add_parser(name, help=help_text, parents=[_command_parser(name)], add_help=False)
     return parser
 
 
@@ -347,12 +335,13 @@ def run(argv: list[str]) -> int:
             args = _command_parser(argv[0]).parse_args(argv[1:])
         else:
             args = _build_parser().parse_args(argv)
-        return args.func(args)
+        args.func(args)
     except SystemExit as exc:  # a usage error, in parsing or from a command's parser
         return int(exc.code or 0)
     except (LscatError, ValueError, KeyError, OSError) as exc:
         _note(f"error: {exc}")
         return 1
+    return 0
 
 
 def main() -> None:

@@ -31,6 +31,7 @@ from .linalg_core import (
     BRANCH_MARGIN,
     MEMBERSHIP_TOL,
     _eig_stack,
+    _positive_int,
     angular_distance,
     cluster_angles,
 )
@@ -143,8 +144,7 @@ def cover_audit(kind: SpaceKind, trials: int, seed: int) -> CoverAuditReport:
     eigensolver's angle error; past that gate every sample lies in some
     set (n < 7.8e7), so covered_fraction is 1.0.
     """
-    if trials < 1:
-        raise ValueError("trials must be a positive integer")
+    trials = _positive_int("trials", trials)
     config = default_cover(kind)
     occupancy = np.zeros(kind.n, dtype=int)
     min_witness_margin = np.inf

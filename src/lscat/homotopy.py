@@ -24,7 +24,8 @@ import numpy as np
 
 from .cover import _classify_angles, default_cover
 from .errors import BranchViolation, MembershipDrift, NotInSpace
-from .linalg_core import BRANCH_MARGIN, MEMBERSHIP_TOL, TWO_PI, EigenDecomposition, eig_normal
+from .linalg_core import (BRANCH_MARGIN, MEMBERSHIP_TOL, TWO_PI, EigenDecomposition,
+                          _positive_int, eig_normal)
 from .spaces import MembershipReport, SpacePoint, is_member
 
 
@@ -107,8 +108,7 @@ def _branch_log(dec: EigenDecomposition, alpha: float) -> BranchLog:
 def _contraction(point: SpacePoint, alpha: float | None, steps: int) -> HomotopyPath:
     """contract's path, its samples a generator; the solve's and the log's errors come first."""
     dec, alpha = _spectrum(point, alpha)
-    if steps < 1:
-        raise ValueError("steps must be a positive integer")
+    steps = _positive_int("steps", steps)
     kind = point.kind
     theta, alpha, _, winding = _lift(dec, alpha)
     angle_target = TWO_PI * winding / kind.ambient_size

@@ -17,11 +17,14 @@ of one, the decomposition the branch logarithm and the factorizations read.
 Matrices are plain numpy complex arrays; operations are pure and never
 modify their inputs.  The gates are the fixed constants MEMBERSHIP_TOL,
 CLUSTER_TOL and BRANCH_MARGIN.  Residual thresholds are relative to the
-Frobenius norm of the input, falling back to absolute for zero input.
+Frobenius norm of the input, falling back to absolute for zero input.  Every
+count the package takes (n, steps, trials, count) passes _positive_int, a
+ValueError naming the value unless an integer >= 1.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,14 +182,18 @@ def _field(doc: dict, name: str):
     return doc[name]
 
 
+def _positive_int(name: str, value) -> int:
+    """value as an int; ValueError naming name and value unless an integer >= 1, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 def _json_side(doc) -> int:
     """The field n of a JSON object record; ValueError unless an integer >= 1."""
     if not isinstance(doc, dict):
         raise ValueError("expected a JSON object")
-    n = _field(doc, "n")
-    if type(n) is not int or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    return n
+    return _positive_int("n", _field(doc, "n"))
 
 
 def matrix_from_json(doc: dict) -> np.ndarray:

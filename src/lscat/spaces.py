@@ -24,7 +24,6 @@ one-matrix draw bit for bit.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
@@ -36,6 +35,7 @@ from .linalg_core import (
     MEMBERSHIP_TOL,
     _field,
     _json_side,
+    _positive_int,
     as_matrix,
     frobenius,
     matrix_from_json,
@@ -60,10 +60,8 @@ class SpaceKind:
     n: int
 
     def __post_init__(self):
-        n = self.n
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-            raise ValueError(f"n must be a positive integer, got {n!r}")
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "family", Family(self.family))
+        object.__setattr__(self, "n", _positive_int("n", self.n))
 
     @property
     def ambient_size(self) -> int:
@@ -117,8 +115,7 @@ def structural_J(n: int) -> np.ndarray:
 
     Satisfies J tJ = E, J^2 = -E and det(J) = 1.
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    n = _positive_int("n", n)
     J = np.zeros((2 * n, 2 * n), dtype=complex)
     J[:n, n:] = -np.eye(n)
     J[n:, :n] = np.eye(n)
@@ -206,6 +203,7 @@ def _member_stacks(kind: SpaceKind, count: int, seed: int) -> Iterator[np.ndarra
 
 def sample_points(kind: SpaceKind, count: int, seed: int) -> list[SpacePoint]:
     """Draw count points of the space, deterministically from the seed."""
+    count = _positive_int("count", count)
     return [SpacePoint(kind, X) for stack in _member_stacks(kind, count, seed) for X in stack]
 
 
@@ -217,7 +215,7 @@ def sample(kind: SpaceKind, seed: int) -> SpacePoint:
 def point_to_json(point: SpacePoint) -> dict:
     return {
         "family": point.kind.family.value,
-        "n": int(point.kind.n),
+        "n": point.kind.n,
         "matrix": matrix_to_json(point.matrix),
     }
 

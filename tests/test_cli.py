@@ -352,6 +352,14 @@ def test_help_lists_every_command(capsys):
         assert code == 2
         assert err.startswith(f"usage: lscat {name} [-h] ")
         assert err.endswith(f"lscat {name}: error: unrecognized arguments: --bogus\n")
+    # the full parser's subparsers take every argument from the command parsers
+    for name in cli._COMMANDS:
+        with pytest.raises(SystemExit):
+            cli._build_parser().parse_args([name, "--help"])
+        assert capsys.readouterr().out == invoke(capsys, [name, "--help"])[1]
+    args = cli._build_parser().parse_args(["table", "--format", "csv"])
+    args.func(args)
+    assert capsys.readouterr().out == invoke(capsys, ["table", "--format", "csv"])[1]
     # a command's options take abbreviations, --help among them
     assert invoke(capsys, ["cover", "--he"]) == invoke(capsys, ["cover", "--help"])
     # errors about the command itself name the argument "command"

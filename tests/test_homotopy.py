@@ -291,3 +291,30 @@ def test_branch_log_winding_differs_across_components():
     for X in (low, high):
         assert is_member(SpaceKind.ai(3), X).member
     assert [branch_log(X, 0.0).winding for X in (low, high)] == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "kind", [SpaceKind.ai(n) for n in (3, 5, 8)] + [SpaceKind.aii(n) for n in (2, 3, 4)],
+    ids=lambda kind: f"{kind.family.value}({kind.n})",
+)
+def test_contract_is_continuous_in_its_point(kind):
+    # X' = g X tg (AI) or g X J tg tJ (AII) with g = exp(eps A) near E; cut at X's witness,
+    # the paths share the winding and stay within 10 eps ||A|| / margin at every sample
+    from lscat.spaces import structural_J
+
+    m = kind.ambient_size
+    twist = np.eye(m) if kind.family is Family.AI else structural_J(kind.n)
+    for seed in range(10):
+        X = sample(kind, seed).matrix
+        x, y = np.random.default_rng(seed + 1000).standard_normal((2, m, m))
+        A = (x - x.T) / 2.0 + 1j * (y + y.T) / 2.0
+        A -= np.trace(A) / m * np.eye(m)
+        path = contract(SpacePoint(kind, X))
+        bl = branch_log(X, path.alpha)
+        for eps in (1e-7, 1e-5):
+            g = scipy.linalg.expm(eps * A)
+            moved = contract(SpacePoint(kind, g @ X @ twist @ g.T @ twist.T), path.alpha)
+            assert branch_log(moved.samples[0].point.matrix, path.alpha).winding == bl.winding
+            gap = max(np.linalg.norm(a.point.matrix - b.point.matrix)
+                      for a, b in zip(path.samples, moved.samples))
+            assert gap <= 10.0 * eps * np.linalg.norm(A) / bl.margin

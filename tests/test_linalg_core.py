@@ -1,6 +1,7 @@
 """Tests for the eigen kernels and matrix JSON."""
 
 import json
+import re
 import warnings
 
 import numpy as np
@@ -20,10 +21,11 @@ from lscat.linalg_core import (
     matrix_from_json,
     matrix_to_json,
 )
-from lscat.cover import multiplicity_audit
+from lscat.cover import cover_audit, multiplicity_audit
 from lscat.factorizations import factor_aii, factor_symmetric
 from lscat.homotopy import contract
-from lscat.spaces import Family, SpaceKind, SpacePoint, is_member, sample
+from lscat.spaces import (Family, SpaceKind, SpacePoint, is_member, sample, sample_points,
+                          structural_J)
 
 
 #: Six incommensurate weights, the solver's weight among them.  A spectrum can
@@ -296,3 +298,20 @@ def test_matrix_json_rejects_bad_shape():
         as_matrix(np.zeros((2, 3)))
     with pytest.raises(ValueError, match="at least 1"):
         as_matrix(np.zeros((0, 0)))
+
+
+_COUNT_TAKERS = {
+    "structural_J": structural_J,
+    "contract": lambda v: contract(SpacePoint(SpaceKind.ai(2), np.eye(2)), np.pi, v),
+    "cover_audit": lambda v: json.dumps(vars(cover_audit(SpaceKind.ai(2), v, 1))),
+    "sample_points": lambda v: sample_points(SpaceKind.ai(2), v, 1),
+}
+
+
+@pytest.mark.parametrize("take", _COUNT_TAKERS.values(), ids=_COUNT_TAKERS.keys())
+def test_counts_take_only_positive_integers(take):
+    # one check for every count: a ValueError naming the value, never a TypeError or an answer
+    for v in (2.5, True, 0, -3, "3", np.float64(2.0)):
+        with pytest.raises(ValueError, match=re.escape(f"got {v!r}")):
+            take(v)
+    take(np.int64(2))  # a numpy integer is a count; cover_audit's record stays JSON

@@ -95,6 +95,15 @@ def test_kind_rejects_non_integer_n():
     assert type(kind.n) is int and kind == SpaceKind.aii(3)
 
 
+def test_kind_coerces_its_family():
+    # a plain string acted as AII wherever the family was tested with `is`
+    kind = SpaceKind("AI", 3)
+    assert kind == SpaceKind.ai(3) and kind.family is Family.AI and kind.ambient_size == 3
+    for family in ("AIII", None):
+        with pytest.raises(ValueError):
+            SpaceKind(family, 3)
+
+
 def test_is_member_identity_cases():
     rep = is_member(SpaceKind.ai(3), np.eye(3))
     assert rep.member and rep.max_residual == 0.0
