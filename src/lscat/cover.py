@@ -18,6 +18,10 @@ draws, solves and classifies its samples as (c, m, m) stacks of at most
 2^16 complex entries per array, so its memory does not grow with the
 number of trials.  The eigensolver forms the spectra of a whole stack in
 one solve and gates each matrix as near-unitary, raising NotUnitary.
+classify reads eig_normal, whose kept solve a contract of the same point
+reuses; a margin is a minimum over the spectrum, so the sort changes none.
+multiplicity_audit sums each cluster in the solver's order, so it keeps
+_eig_stack.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .linalg_core import (
     _positive_int,
     angular_distance,
     cluster_angles,
+    eig_normal,
 )
 from .spaces import Family, SpaceKind, SpacePoint, _member_stacks, is_member
 
@@ -79,19 +84,15 @@ def classify(config: CoverConfig, point: SpacePoint) -> CoverClassification:
 
     memberships[r] holds when the margin is at least BRANCH_MARGIN; the
     witness is the lowest index whose margin is within MEMBERSHIP_TOL of
-    the largest.  Works for any unitary of the right side, member or not,
-    so impossibility certificates can be classified too.
+    the largest; this is the only place a witness is chosen.  Works for any
+    unitary of the right side, member or not, so impossibility certificates
+    can be classified too.
     """
     if point.kind != config.kind:
         raise DimensionMismatch(
             f"point kind {point.kind} does not match cover kind {config.kind}"
         )
-    return _classify_angles(config, np.angle(_eig_stack(point.matrix[None])[1][0]))
-
-
-def _classify_angles(config: CoverConfig, angles: np.ndarray) -> CoverClassification:
-    """classify on one point's eigenvalue angles: the only place a witness is chosen."""
-    (row,) = _margins(config, angles[None])
+    (row,) = _margins(config, np.angle(eig_normal(point.matrix).eigenvalues)[None])
     margins = tuple(float(margin) for margin in row)
     memberships = tuple(margin >= BRANCH_MARGIN for margin in margins)
     witness = int(np.argmax(row >= row.max() - MEMBERSHIP_TOL))

@@ -13,6 +13,8 @@ shares; the endpoint is the scalar matrix exp(2 pi i k / m) E and every
 intermediate point stays inside the space, re-verified sample by sample.
 By default the branch is the default cover's witness, read from the same
 eigendecomposition: this module is where a witness becomes a branch angle.
+The decomposition comes from eig_normal, which keeps the last matrix it
+solved, so classify followed by contract on one point solves once.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cover import _classify_angles, default_cover
+from .cover import classify, default_cover
 from .errors import BranchViolation, MembershipDrift, NotInSpace
 from .linalg_core import (BRANCH_MARGIN, MEMBERSHIP_TOL, TWO_PI, EigenDecomposition,
                           _positive_int, eig_normal)
@@ -77,12 +79,14 @@ def _lift(dec: EigenDecomposition, alpha: float) -> tuple[np.ndarray, float, flo
 
 
 def _spectrum(point: SpacePoint, alpha: float | None) -> tuple[EigenDecomposition, float]:
-    """point's one eig_normal and the branch angle: alpha, or if None the cover witness's."""
+    """point's one eig_normal and the branch angle: alpha, or if None the cover witness's.
+
+    classify reads the witness from the solve eig_normal has just kept.
+    """
     dec = eig_normal(point.matrix)
     if alpha is None:
         config = default_cover(point.kind)
-        witness = _classify_angles(config, np.angle(dec.eigenvalues)).witness
-        alpha = float(np.angle(config.lambdas[witness]))
+        alpha = float(np.angle(config.lambdas[classify(config, point).witness]))
     return dec, alpha
 
 

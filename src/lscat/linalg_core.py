@@ -10,20 +10,22 @@ a joint eigenbasis.  One solve of the fixed weight takes a whole
 (T, m, m) stack, each matrix gated as near-unitary.  The weight can fold
 two eigenvalues together, so a matrix failing its residual check is solved
 again by its Cayley transform, Hermitian and one-to-one on the spectrum,
-cut in the widest gap of the angles.  The cover's margins read a whole
-stack in the solver's order; eig_normal sorts the eigenpairs of a stack
-of one, the decomposition the branch logarithm and the factorizations read.
+cut in the widest gap of the angles.  The cover audit's margins read a
+whole stack in the solver's order.  Every other one-matrix solve but
+multiplicity_audit's is eig_normal: it sorts the eigenpairs and keeps the
+last matrix solved, so classify then contract on one point solves once.
 
-Matrices are plain numpy complex arrays; operations are pure and never
-modify their inputs.  The gates are the fixed constants MEMBERSHIP_TOL,
+Matrices are plain numpy complex arrays; operations never modify their
+inputs.  The gates are the fixed constants MEMBERSHIP_TOL,
 CLUSTER_TOL and BRANCH_MARGIN.  Residual thresholds are relative to the
 Frobenius norm of the input, falling back to absolute for zero input.  Every
 count the package takes (n, steps, trials, count) passes _positive_int, a
-ValueError naming the value unless an integer >= 1.
+ValueError naming the value unless an integer >= 1; a seed must be >= 0.
 """
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass
 
@@ -51,7 +53,7 @@ class EigenDecomposition:
 
     Eigenvalues are sorted by ascending principal argument in (-pi, pi],
     ties broken by ascending imaginary part; P's columns follow the same
-    order.
+    order.  eig_normal returns both arrays read-only.
     """
 
     P: np.ndarray
@@ -158,14 +160,34 @@ def _ritz(X, V) -> tuple[np.ndarray, np.ndarray]:
     return lam, _norms(XV - V * lam[..., None, :])
 
 
+#: The bytes of the last matrix eig_normal solved, and its decomposition.
+_kept: tuple[bytes, EigenDecomposition] | None = None
+
+
 def eig_normal(X) -> EigenDecomposition:
     """Eigendecomposition of a unitary matrix: the one-matrix _eig_stack, sorted.
 
-    Raises NotUnitary and NoConvergence as _eig_stack does.
+    A matrix with the bits of the last one solved (-0.0 is not 0.0) gets
+    the kept decomposition, which is read-only, without a solve; the key is
+    a copy, so writing into the caller's array cannot return a stale
+    answer.  The old entry is dropped before a solve, one that raises keeps
+    nothing, and the entry is swapped as one tuple, so a race between
+    threads can only cause a miss.  Raises NotUnitary and NoConvergence as
+    _eig_stack does.
     """
-    (V,), (lam,) = _eig_stack(as_matrix(X)[None])
+    global _kept
+    X = as_matrix(X)
+    key = X.tobytes()
+    kept = _kept
+    if kept is not None and kept[0] == key:
+        return kept[1]
+    _kept = None
+    (V,), (lam,) = _eig_stack(X[None])
     order = np.lexsort((lam.imag, np.angle(lam)))
-    return EigenDecomposition(V[:, order], lam[order])
+    dec = EigenDecomposition(V[:, order], lam[order])
+    dec.P.flags.writeable = dec.eigenvalues.flags.writeable = False
+    _kept = (key, dec)
+    return dec
 
 
 def matrix_to_json(m) -> dict:
@@ -182,11 +204,15 @@ def _field(doc: dict, name: str):
     return doc[name]
 
 
-def _positive_int(name: str, value) -> int:
-    """value as an int; ValueError naming name and value unless an integer >= 1, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+def _int_at_least(low: int, name: str, value) -> int:
+    """value as an int; ValueError naming name and value unless an integer >= low, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        word = "positive" if low else "non-negative"
+        raise ValueError(f"{name} must be a {word} integer, got {value!r}")
     return int(value)
+
+
+_positive_int = functools.partial(_int_at_least, 1)
 
 
 def _json_side(doc) -> int:

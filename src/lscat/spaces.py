@@ -34,6 +34,7 @@ from .errors import DimensionMismatch
 from .linalg_core import (
     MEMBERSHIP_TOL,
     _field,
+    _int_at_least,
     _json_side,
     _positive_int,
     as_matrix,
@@ -188,9 +189,10 @@ def _member_stacks(kind: SpaceKind, count: int, seed: int) -> Iterator[np.ndarra
     AI: X = P tP and AII: X = J (P J tP) for Haar P; both formulas push the
     Haar measure through the transitive action, so every output passes
     is_member.  A chunk holds max(1, 2^16 // m^2) matrices.  J W is
-    0.0 - tJ W, so its zeros are +0 as in the dense product.
+    0.0 - tJ W, so its zeros are +0 as in the dense product.  The seed must
+    be an integer >= 0, not a bool; None or any other value raises ValueError.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_int_at_least(0, "seed", seed))
     m = kind.ambient_size
     chunk = max(1, _CHUNK_ENTRIES // m**2)
     for start in range(0, count, chunk):

@@ -440,23 +440,15 @@ def test_contract_rejects_a_source_check_rejects(capsys, tmp_path):
     assert err == "error: source is not a member of AI(2) (residual 2.828e-08)\n"
 
 
-def test_branch_commands_solve_each_record_once(capsys, tmp_path, monkeypatch):
+def test_branch_commands_solve_each_record_once(capsys, tmp_path, eigh_calls):
     path, _ = sample_to_file(
         capsys, tmp_path, ["--space", "ai", "--n", "5", "--count", "3", "--seed", "17"]
     )
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counting_eigh(H):
-        calls.append(H)
-        return eigh(H)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     for argv in (["log", "--alpha-from-cover"], ["log", "--alpha", "0.3"],
                  ["contract", "--alpha-from-cover", "--steps", "4"]):
-        calls.clear()
+        eigh_calls.clear()
         code, _, _ = invoke(capsys, [*argv, "--input", str(path)])
-        assert code == 0 and len(calls) == 3
+        assert code == 0 and len(eigh_calls) == 3
 
 
 def test_input_records_are_streamed(capsys, tmp_path):

@@ -8,6 +8,7 @@ import scipy.stats
 from lscat.cover import classify, default_cover
 from lscat.errors import BranchViolation, NotInSpace, NotUnitary
 from lscat.homotopy import branch_log, contract
+from lscat.linalg_core import eig_normal
 from lscat.spaces import Family, SpaceKind, SpacePoint, is_member, sample, sample_points
 
 
@@ -218,23 +219,15 @@ def test_contract_samples_match_exponential_oracle():
     assert count == 60
 
 
-def test_contract_makes_one_eigensolve(monkeypatch):
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counting_eigh(*args, **kwargs):
-        calls.append(None)
-        return eigh(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+def test_contract_makes_one_eigensolve(eigh_calls):
     for kind in (SpaceKind.ai(16), SpaceKind.aii(8)):
         point = sample(kind, seed=5)
-        calls.clear()
+        eigh_calls.clear()
         contract(point, np.pi / 7, steps=16)
-        assert len(calls) == 1
+        assert len(eigh_calls) == 1
 
 
-def test_contract_at_the_cover_witness_makes_one_eigensolve(monkeypatch):
+def test_contract_at_the_cover_witness_makes_one_eigensolve(eigh_calls):
     # contract(point) reads the witness from the spectrum that forms the path,
     # and runs the path of the witness's angle, given explicitly
     witnesses = []
@@ -243,24 +236,70 @@ def test_contract_at_the_cover_witness_makes_one_eigensolve(monkeypatch):
         config = default_cover(kind)
         alpha = float(np.mod(np.angle(config.lambdas[classify(config, point).witness]), 2 * np.pi))
         witnesses.append((point, alpha, contract(point, alpha, steps=16)))
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counting_eigh(*args, **kwargs):
-        calls.append(None)
-        return eigh(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     for point, alpha, explicit in witnesses:
-        calls.clear()
+        eig_normal(np.diag([1j, -1j]))  # an unrelated solve: eig_normal no longer keeps the point
+        eigh_calls.clear()
         path = contract(point, steps=16)
-        assert len(calls) == 1
+        assert len(eigh_calls) == 1
         assert path.alpha == alpha and 0.0 <= alpha < 2 * np.pi
         assert explicit.alpha == alpha and path.target_scalar == explicit.target_scalar
         assert len(path.samples) == len(explicit.samples) == 17
         for got, want in zip(path.samples, explicit.samples):
             assert got.s == want.s and got.residuals == want.residuals
             assert np.array_equal(got.point.matrix, want.point.matrix)
+
+
+def test_classify_then_contract_makes_one_eigensolve(eigh_calls):
+    # the README's two calls on one point share eig_normal's kept solve, and
+    # the path equals the one a cold solve gives
+    for kind in (SpaceKind.ai(16), SpaceKind.aii(8)):
+        point = sample(kind, seed=6)
+        eigh_calls.clear()
+        config = default_cover(kind)
+        alpha = float(np.angle(config.lambdas[classify(config, point).witness]))
+        path = contract(point, alpha, steps=4)
+        assert len(eigh_calls) == 1
+        eig_normal(np.diag([1j, -1j]))
+        cold = contract(point, alpha, steps=4)
+        assert len(eigh_calls) == 3
+        for got, want in zip(path.samples, cold.samples, strict=True):
+            assert got.point.matrix.tobytes() == want.point.matrix.tobytes()
+
+
+@pytest.mark.parametrize("n", [4, 5, 7])
+def test_log_and_contract_ignore_the_basis_inside_an_exact_cluster(n):
+    # X = O diag(e^{i theta}) tO with an exact triple in theta, rebuilt from
+    # O R for a rotation R inside the triple's eigenspace: H and the path are
+    # matrix functions of X, so both bases give O diag(i theta) tO and its path
+    rng = np.random.default_rng(40 + n)
+    theta = rng.uniform(-np.pi, np.pi, n)
+    theta[1:3] = theta[0]
+    theta[-1] = -np.sum(theta[:-1])
+    O = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    O[:, 0] *= np.sign(np.linalg.det(O))
+    R = np.eye(n)
+    R[:3, :3] = scipy.stats.special_ortho_group.rvs(3, random_state=rng)
+    kind = SpaceKind.ai(n)
+    bases = (O, O @ R)
+    points = [SpacePoint(kind, (B * np.exp(1j * theta)) @ B.T) for B in bases]
+    assert not np.array_equal(points[0].matrix, points[1].matrix)
+    # cut in the middle of the widest gap of the exact angles
+    wrapped = np.sort(np.mod(theta, 2 * np.pi))
+    gaps = np.diff(wrapped, append=wrapped[0] + 2 * np.pi)
+    alpha = np.mod(wrapped[np.argmax(gaps)] + gaps.max() / 2.0, 2 * np.pi)
+    lifted = alpha + np.mod(theta - alpha, 2 * np.pi)
+    winding = int(round(np.sum(lifted) / (2 * np.pi)))
+    H = (O * (1j * lifted)) @ O.T
+    paths = []
+    for point in points:
+        bl = branch_log(point.matrix, alpha)
+        assert bl.winding == winding
+        assert np.linalg.norm(bl.H - H) <= 1e-12
+        paths.append(contract(point, alpha, steps=8))
+    for first, second in zip(*(path.samples for path in paths), strict=True):
+        exact = (O * np.exp(1j * ((1.0 - first.s) * lifted + first.s * 2 * np.pi * winding / n))) @ O.T
+        assert np.linalg.norm(first.point.matrix - second.point.matrix) <= 1e-12
+        assert np.linalg.norm(first.point.matrix - exact) <= 1e-12
 
 
 def test_contract_propagates_branch_violation():

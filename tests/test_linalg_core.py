@@ -79,6 +79,65 @@ def test_eig_normal_random_unitaries_residuals():
         assert np.linalg.norm(dec.P @ dec.P.conj().T - np.eye(m)) <= 1e-10
 
 
+def test_eig_normal_solves_once_per_matrix_when_points_alternate(eigh_calls):
+    a, b = (p.matrix for p in sample_points(SpaceKind.ai(6), 2, 8))
+    decs = []
+    for X in (a, b, a, b):
+        eigh_calls.clear()
+        decs.append(eig_normal(X))
+        assert len(eigh_calls) == 1
+    eigh_calls.clear()
+    assert eig_normal(b.copy()) is decs[-1] and eigh_calls == []
+    for cold, warm in ((decs[0], decs[2]), (decs[1], decs[3])):
+        assert cold.P.tobytes() == warm.P.tobytes()
+        assert cold.eigenvalues.tobytes() == warm.eigenvalues.tobytes()
+
+
+def test_eig_normal_solves_a_matrix_changed_in_place(eigh_calls):
+    # the key is a copy of the bits: an entry written in place, or a +0.0
+    # turned into -0.0 (which np.array_equal cannot see), is a new matrix
+    theta = np.array([0.3, -1.1, 2.0, -1.2])
+    X = np.diag(np.exp(1j * theta))
+    eig_normal(X)
+
+    def nudge(X):
+        X[0, 1] += 1e-13
+
+    def negate_zero(X):
+        X.real[1, 0] = -0.0
+
+    for change in (nudge, negate_zero):
+        before = X.copy()
+        change(X)
+        assert X.tobytes() != before.tobytes()
+        eigh_calls.clear()
+        warm = eig_normal(X)
+        assert len(eigh_calls) == 1
+        eig_normal(np.eye(3))
+        cold = eig_normal(X.copy())
+        assert warm.P.tobytes() == cold.P.tobytes()
+        assert warm.eigenvalues.tobytes() == cold.eigenvalues.tobytes()
+
+
+def test_eig_normal_keeps_nothing_from_a_raising_call(eigh_calls):
+    X = sample(SpaceKind.ai(3), seed=2).matrix
+    eig_normal(X)
+    for _ in range(2):
+        with pytest.raises(NotUnitary):
+            eig_normal(2.0 * np.eye(3))
+    eigh_calls.clear()
+    eig_normal(X)  # the raising call dropped X's entry
+    assert len(eigh_calls) == 1
+
+
+def test_eig_normal_decomposition_is_read_only():
+    dec = eig_normal(sample(SpaceKind.aii(2), seed=3).matrix)
+    with pytest.raises(ValueError, match="read-only"):
+        dec.P[0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        dec.eigenvalues[0] = 1.0
+
+
 def raises_not_unitary_quietly(X):
     """eig_normal(X) raises NotUnitary, and numpy emits no warning on the way."""
     with warnings.catch_warnings():
@@ -315,3 +374,20 @@ def test_counts_take_only_positive_integers(take):
         with pytest.raises(ValueError, match=re.escape(f"got {v!r}")):
             take(v)
     take(np.int64(2))  # a numpy integer is a count; cover_audit's record stays JSON
+
+
+_SEED_TAKERS = {
+    "sample_points": lambda v: sample_points(SpaceKind.ai(2), 2, v),
+    "sample": lambda v: sample(SpaceKind.aii(1), v),
+    "cover_audit": lambda v: cover_audit(SpaceKind.ai(2), 2, v),
+}
+
+
+@pytest.mark.parametrize("take", _SEED_TAKERS.values(), ids=_SEED_TAKERS.keys())
+def test_seeds_take_only_non_negative_integers(take):
+    # None would draw from OS entropy; the others escaped as bare TypeErrors
+    for v in (None, 2.5, "x", True, -1):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be a non-negative integer, got {v!r}")):
+            take(v)
+    take(0)
+    take(np.int64(3))
