@@ -18,14 +18,16 @@ draws, solves and classifies its samples as (c, m, m) stacks of at most
 2^16 complex entries per array, so its memory does not grow with the
 number of trials.  The eigensolver forms the spectra of a whole stack in
 one solve and gates each matrix as near-unitary, raising NotUnitary.
-classify reads eig_normal, whose kept solve a contract of the same point
-reuses; a margin is a minimum over the spectrum, so the sort changes none.
-multiplicity_audit sums each cluster in the solver's order, so it keeps
-_eig_stack.
+classify and multiplicity_audit read eig_normal, whose kept solve a
+contract of the same point reuses; a margin is a minimum over the
+spectrum, so the sort changes none, and a cluster's mean is summed in
+sorted-angle order.  default_cover is memoized: a kind's lambdas are
+formed once, and every call for that kind returns the same config.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +71,7 @@ class CoverAuditReport:
     margin_floor: float
 
 
+@functools.lru_cache(maxsize=16)
 def default_cover(kind: SpaceKind) -> CoverConfig:
     """The standard cover lambda_r = e^{i pi/(2n)} e^{2 pi i r/n}, r = 1..n."""
     n = kind.n
@@ -110,8 +113,9 @@ def multiplicity_audit(point: SpacePoint) -> list[tuple[complex, int]]:
 
     Every eigenvalue of an AII member has even multiplicity (conjugating an
     eigenvector by J yields an independent one).  A cluster is a
-    single-linkage group of angles at radius CLUSTER_TOL, reported as its
-    normalized mean and size; chained distinct eigenvalues form one.  Every
+    single-linkage group of angles at radius CLUSTER_TOL, reported as the
+    normalized mean of its eigenvalues in sorted-angle order and its size;
+    chained distinct eigenvalues form one.  Every
     cluster is even exactly when one neighbour matching of the sorted
     angles, (0, 1), (2, 3), ... or (1, 2), ..., (2n - 1, 0), pairs each
     within CLUSTER_TOL; OddMultiplicity is raised otherwise.
@@ -123,7 +127,7 @@ def multiplicity_audit(point: SpacePoint) -> list[tuple[complex, int]]:
         raise NotInSpace(
             f"input fails the membership laws (max residual {report.max_residual:.3e})"
         )
-    eig = _eig_stack(point.matrix[None])[1][0]
+    eig = eig_normal(point.matrix).eigenvalues
     angles = np.angle(eig)
     out = []
     for cluster in cluster_angles(angles):

@@ -91,7 +91,8 @@ def factor_skew(X) -> FactorizationResult:
     X = as_matrix(X)
     if X.shape[0] % 2:
         raise DimensionMismatch("skew special unitary matrices have even side")
-    residuals = _law_residuals(X, -X)
+    with np.errstate(over="ignore", invalid="ignore"):  # a nan is an overflow
+        residuals = _law_residuals(X, X.T + X)  # the defect tX - (-X)
     if max(residuals) > MEMBERSHIP_TOL:
         raise NotInSpace(
             "input is not a skew-symmetric special unitary matrix "

@@ -10,7 +10,8 @@ branch domain.
 The contraction exponentiates the linear path (1 - s) H + s (2 pi i k / m) E
 (m is the ambient side) on the eigenbasis of H, which the scalar target
 shares; the endpoint is the scalar matrix exp(2 pi i k / m) E and every
-intermediate point stays inside the space, re-verified sample by sample.
+intermediate point stays inside the space, re-verified sample by sample
+by is_member's residual kernel, called on each sample as formed.
 By default the branch is the default cover's witness, read from the same
 eigendecomposition: this module is where a witness becomes a branch angle.
 The decomposition comes from eig_normal, which keeps the last matrix it
@@ -28,7 +29,7 @@ from .cover import classify, default_cover
 from .errors import BranchViolation, MembershipDrift, NotInSpace
 from .linalg_core import (BRANCH_MARGIN, MEMBERSHIP_TOL, TWO_PI, EigenDecomposition,
                           _positive_int, eig_normal)
-from .spaces import MembershipReport, SpacePoint, is_member
+from .spaces import MembershipReport, SpacePoint, _membership, is_member
 
 
 @dataclass(frozen=True)
@@ -127,7 +128,7 @@ def _contraction(point: SpacePoint, alpha: float | None, steps: int) -> Homotopy
         for i in range(1, steps + 1):
             s = i / steps
             F = (P * np.exp(1j * ((1.0 - s) * theta + s * angle_target))) @ Ph
-            report = is_member(kind, F)
+            report = _membership(kind, F)
             if report.max_residual > 100.0 * MEMBERSHIP_TOL:
                 raise MembershipDrift(
                     f"path point at s={s:g} drifted out of the space "
@@ -149,9 +150,11 @@ def contract(point: SpacePoint, alpha: float | None = None, steps: int = 16) -> 
     P diag(exp(i((1 - s) theta + s 2 pi k / m))) P*, formed on the same
     eigendecomposition.  The sample at s = 0 is the source itself, with
     its is_member report; a source that is_member rejects raises
-    NotInSpace.  Every later sample is re-checked at 100 * MEMBERSHIP_TOL,
-    and MembershipDrift indicates an implementation bug, since the path
-    from a member provably stays inside the space.
+    NotInSpace.  Every later sample carries the report is_member gives it,
+    from the same residual kernel without is_member's input checks; past
+    100 * MEMBERSHIP_TOL, or non-finite, it raises MembershipDrift, which
+    indicates an implementation bug, since the path from a member provably
+    stays inside the space.
     """
     path = _contraction(point, alpha, steps)
     return replace(path, samples=tuple(path.samples))

@@ -11,9 +11,9 @@ a joint eigenbasis.  One solve of the fixed weight takes a whole
 two eigenvalues together, so a matrix failing its residual check is solved
 again by its Cayley transform, Hermitian and one-to-one on the spectrum,
 cut in the widest gap of the angles.  The cover audit's margins read a
-whole stack in the solver's order.  Every other one-matrix solve but
-multiplicity_audit's is eig_normal: it sorts the eigenpairs and keeps the
-last matrix solved, so classify then contract on one point solves once.
+whole stack in the solver's order.  Every one-matrix solve is
+eig_normal: it sorts the eigenpairs and keeps the last matrix solved, so
+classify then contract on one point solves once.
 
 Matrices are plain numpy complex arrays; operations never modify their
 inputs.  The gates are the fixed constants MEMBERSHIP_TOL,
@@ -26,6 +26,7 @@ ValueError naming the value unless an integer >= 1; a seed must be >= 0.
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -73,7 +74,10 @@ def as_matrix(x) -> np.ndarray:
 
 
 def frobenius(a) -> float:
-    return float(np.linalg.norm(a))
+    """np.linalg.norm of a complex array without its checks: the same sums, so the same bits."""
+    x = a.ravel(order="K")
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def _norms(a) -> np.ndarray:

@@ -12,8 +12,15 @@ space, lie in J's component; is_member accepts both (for odd n, E is in the
 other).  A member whose branch logarithm winds k times is in J's exactly
 when k + n is even.
 
-J's block layout and sign live in _swap_halves alone: here and in
-factorizations every product with J is a signed swap of a matrix's halves.
+J's block layout and sign live in _swap_halves and _twin_defect alone:
+here and in factorizations every product with J is a signed swap of a
+matrix's halves, and the AII symmetry defect tX - J X tJ is written block
+by block from X's quarters.
+
+Membership is one residual kernel, _law_residuals, on a square X and its
+symmetry defect S = tX - twin: is_member, the contraction's samples and
+factor_skew's skew laws all read it, so each check costs its three
+products (X X*, det X and S) and the norms numpy would take of them.
 
 Sampling is stacked: one draw forms a (c, m, m) array of points with
 stacked QR, determinant, phase and products, at most 2^16 complex entries
@@ -129,12 +136,39 @@ def _swap_halves(X, axis: int) -> np.ndarray:
     return np.concatenate([X[(..., slice(n, None), *tail)], -X[(..., slice(n), *tail)]], axis)
 
 
-def _law_residuals(X, twin) -> tuple[float, ...]:
-    """||X X* - E||, |det X - 1| and ||tX - twin|| of a finite X; inf where they overflow."""
-    with np.errstate(over="ignore", invalid="ignore"):  # X is finite: a nan is an overflow
-        r = (frobenius(X @ X.conj().T - np.eye(len(X))), float(abs(np.linalg.det(X) - 1.0)),
-             frobenius(X.T - twin))
+def _twin_defect(X) -> np.ndarray:
+    """tX - J X tJ of a 2n x 2n X, block by block into one C-ordered array.
+
+    With X = [[A, B], [C, D]], J X tJ = [[D, -C], [-B, A]]; tC - (-C) is
+    tC + C to the bit, as is tB - (-B).
+    """
+    n = len(X) // 2
+    A, B, C, D = X[:n, :n], X[:n, n:], X[n:, :n], X[n:, n:]
+    S = np.empty(X.shape, complex)
+    np.subtract(A.T, D, out=S[:n, :n])
+    np.add(C.T, C, out=S[:n, n:])
+    np.add(B.T, B, out=S[n:, :n])
+    np.subtract(D.T, A, out=S[n:, n:])
+    return S
+
+
+def _law_residuals(X, S) -> tuple[float, ...]:
+    """||X X* - E||, |det X - 1| and ||S|| of a square X and its symmetry defect S = tX - twin.
+
+    Call it, and form S, under np.errstate(over="ignore", invalid="ignore"):
+    an overflow, or a non-finite X, reads inf.
+    """
+    G = X @ X.conj().T
+    G.reshape(-1)[:: len(X) + 1] -= 1.0  # matmul makes G C-ordered, so this is a view
+    r = (frobenius(G), float(abs(np.linalg.det(X) - 1.0)), frobenius(S))
     return tuple(math.inf if math.isnan(x) else x for x in r)
+
+
+def _membership(kind: SpaceKind, X) -> MembershipReport:
+    """is_member's report of a complex square X of kind's side; a non-finite X reads inf."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a nan is an overflow
+        residuals = _law_residuals(X, X.T - X if kind.family is Family.AI else _twin_defect(X))
+    return MembershipReport(*residuals, max(residuals) <= MEMBERSHIP_TOL)
 
 
 def is_member(kind: SpaceKind, X) -> MembershipReport:
@@ -148,9 +182,7 @@ def is_member(kind: SpaceKind, X) -> MembershipReport:
     m = kind.ambient_size
     if X.shape[0] != m:
         raise DimensionMismatch(f"expected side {m}, got {X.shape[0]}")
-    twin = X if kind.family is Family.AI else _swap_halves(_swap_halves(X, -1), -2)  # J X tJ
-    residuals = _law_residuals(X, twin)
-    return MembershipReport(*residuals, max(residuals) <= MEMBERSHIP_TOL)
+    return _membership(kind, X)
 
 
 #: Complex entries per array of one stacked draw.

@@ -63,6 +63,16 @@ def test_default_cover_certificate_properties(family, n):
         assert certificate == pytest.approx(-1.0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+@pytest.mark.parametrize("family", list(Family))
+def test_default_cover_is_memoized_per_kind(family, n):
+    config = default_cover(SpaceKind(family, n))
+    assert default_cover(SpaceKind(family.value, n)) is config  # an equal kind, built anew
+    assert config.kind == SpaceKind(family, n)
+    assert config.lambdas == tuple(complex(np.exp(1j * (np.pi / (2 * n) + 2 * np.pi * r / n)))
+                                   for r in range(1, n + 1))
+
+
 def test_classify_identity_margins():
     kind = SpaceKind.ai(3)
     cls = classify(default_cover(kind), SpacePoint(kind, np.eye(3)))
@@ -162,6 +172,16 @@ def test_multiplicity_audit_chained_cluster_is_one_even_cluster_of_26():
     [(eigenvalue, multiplicity)] = multiplicity_audit(pt)
     assert multiplicity == 26
     assert eigenvalue == pytest.approx(1.0, abs=1e-12)
+
+
+def test_multiplicity_audit_then_classify_makes_one_eigensolve(eigh_calls):
+    for n in (2, 5):
+        point = sample(SpaceKind.aii(n), seed=12)
+        eigh_calls.clear()
+        multiplicity_audit(point)
+        assert len(eigh_calls) == 1
+        classify(default_cover(point.kind), point)
+        assert len(eigh_calls) == 1
 
 
 def test_cover_audit_full_coverage():

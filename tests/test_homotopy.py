@@ -1,15 +1,20 @@
 """Tests for the branch logarithm, winding indices, and contractions."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.stats
 
+from lscat import linalg_core
+from lscat.cli import run
 from lscat.cover import classify, default_cover
-from lscat.errors import BranchViolation, NotInSpace, NotUnitary
+from lscat.errors import BranchViolation, MembershipDrift, NotInSpace, NotUnitary
 from lscat.homotopy import branch_log, contract
-from lscat.linalg_core import eig_normal
-from lscat.spaces import Family, SpaceKind, SpacePoint, is_member, sample, sample_points
+from lscat.linalg_core import EigenDecomposition, eig_normal
+from lscat.spaces import (Family, SpaceKind, SpacePoint, is_member, point_to_json, sample,
+                          sample_points)
 
 
 def test_branch_log_identity_at_pi():
@@ -217,6 +222,30 @@ def test_contract_samples_match_exponential_oracle():
             assert np.linalg.norm(smp.point.matrix - oracle) <= 1e-11
         count += 1
     assert count == 60
+
+
+def test_contract_samples_carry_is_member_reports():
+    # the samples call is_member's residual kernel directly, without its input checks
+    for point, alpha in _contract_cases():
+        for smp in contract(point, alpha, steps=8).samples:
+            assert smp.residuals == is_member(point.kind, smp.point.matrix)
+
+
+@pytest.mark.parametrize("kind", [SpaceKind.ai(3), SpaceKind.aii(2)], ids=["AI3", "AII2"])
+def test_a_drifting_path_raises_membership_drift(monkeypatch, capsys, tmp_path, kind):
+    # eig_normal keeps the point's solve with P scaled by 1 + 1e-6, so every
+    # sample past the source has residuals near 1e-5, past 100 * MEMBERSHIP_TOL
+    point = sample(kind, seed=9)
+    dec = eig_normal(point.matrix)
+    drifted = EigenDecomposition(dec.P * (1.0 + 1e-6), dec.eigenvalues)
+    monkeypatch.setattr(linalg_core, "_kept", (point.matrix.tobytes(), drifted))
+    with pytest.raises(MembershipDrift, match=r"path point at s=0\.25 drifted out of the space"):
+        contract(point, steps=4)
+    record = tmp_path / "point.ndjson"
+    record.write_text(json.dumps(point_to_json(point)) + "\n")
+    assert run(["contract", "--alpha-from-cover", "--steps", "4", "--input", str(record)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: path point at s=0.25 drifted out of the space (residual ")
 
 
 def test_contract_makes_one_eigensolve(eigh_calls):

@@ -1,5 +1,6 @@
 """Tests for membership predicates, the structural matrix, and sampling."""
 
+import math
 import re
 
 import numpy as np
@@ -11,6 +12,7 @@ from lscat.spaces import (
     Family,
     SpaceKind,
     SpacePoint,
+    _law_residuals,
     _swap_halves,
     haar_special_unitary,
     is_member,
@@ -130,6 +132,46 @@ def test_is_member_aii_symmetry_equals_J_conjugation_reference():
                 rep = is_member(kind, X)
                 assert rep.symmetry == np.linalg.norm(X.T - J @ X @ J.T)
                 assert rep.member == (X is pt.matrix)
+
+
+def norm_formula(X, twin):
+    """The residuals as three norms of dense temporaries: the oracle of the kernel."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = (float(np.linalg.norm(X @ X.conj().T - np.eye(len(X)))),
+             float(abs(np.linalg.det(X) - 1.0)), float(np.linalg.norm(X.T - twin)))
+    return tuple(math.inf if math.isnan(x) else x for x in r)
+
+
+def layouts(X):
+    """X as a C-ordered array, a Fortran-ordered one and two strided views."""
+    m = len(X)
+    big = np.zeros((2 * m, 2 * m), dtype=complex)
+    big[::2, ::2] = X
+    reversed_rows = np.zeros((2 * m, m), dtype=complex)
+    reversed_rows[::-2] = X
+    return [X, np.asfortranarray(X), big[::2, ::2], reversed_rows[::-2]]
+
+
+@pytest.mark.parametrize("kind", [SpaceKind.ai(n) for n in (*range(1, 9), 64)]
+                         + [SpaceKind.aii(n) for n in (*range(1, 7), 32)],
+                         ids=lambda k: f"{k.family.value}{k.n}")
+def test_law_residuals_equal_the_norm_formula_bit_for_bit(kind):
+    # warnings are errors in this suite: an overflow, also one of tX - twin, reads inf quietly
+    rng = np.random.default_rng(kind.ambient_size)
+    m = kind.ambient_size
+    huge = (np.full((m, m), 1e160 + 0j), np.tile([1.7e308 + 0j, -1.7e308], (m, m))[:, :m])
+    for point in sample_points(kind, 3, seed=m):
+        noise = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        for X0 in (point.matrix, point.matrix + 1e-7 * noise, noise, *huge):
+            for X in layouts(X0):
+                twin = X if kind.family is Family.AI else _swap_halves(_swap_halves(X, -1), -2)
+                report = is_member(kind, X)
+                assert (report.unitarity, report.determinant, report.symmetry) == norm_formula(X, twin)
+                assert report.member == (X0 is point.matrix)
+                assert (report.unitarity == math.inf) == any(X0 is h for h in huge)
+                # factor_skew's defect tX + X is tX - (-X) to the bit
+                with np.errstate(over="ignore", invalid="ignore"):
+                    assert _law_residuals(X, X.T + X) == norm_formula(X, -X)
 
 
 def test_is_member_dimension_mismatch():
