@@ -199,7 +199,7 @@ def _cmd_log(parser, args) -> None:
 def _cmd_contract(parser, args) -> None:
     """One JSON list of samples per point, written element by element."""
     for point in _points_from_input(parser, args):
-        path = _contraction(point, args.alpha, args.steps)
+        path = _contraction(point, args.alpha, args.steps, measure=True)
         worst = 0.0
         separator = "["
         for s in path.samples:

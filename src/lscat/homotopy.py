@@ -9,9 +9,14 @@ branch domain.
 
 The contraction exponentiates the linear path (1 - s) H + s (2 pi i k / m) E
 (m is the ambient side) on the eigenbasis of H, which the scalar target
-shares; the endpoint is the scalar matrix exp(2 pi i k / m) E and every
-intermediate point stays inside the space, re-verified sample by sample
-by is_member's residual kernel, called on each sample as formed.
+shares; the endpoint is the scalar matrix exp(2 pi i k / m) E.  Each
+sample F(s) = P D(s) P* is a primary matrix function of the source, so it
+keeps every similarity the transpose makes and stays inside the space
+(Higham, Mackey, Mackey and Tisseur, SIAM J. Matrix Anal. Appl. 26, 2005).
+_certificate turns that into a bound on each law's residual along the
+whole path, read from one check of the basis P; a path whose bound
+exceeds MEMBERSHIP_TOL is measured sample by sample with is_member's
+residual kernel instead, as is every sample the CLI prints.
 By default the branch is the default cover's witness, read from the same
 eigendecomposition: this module is where a witness becomes a branch angle.
 The decomposition comes from eig_normal, which keeps the last matrix it
@@ -20,7 +25,8 @@ solved, so classify followed by contract on one point solves once.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,8 +34,12 @@ import numpy as np
 from .cover import classify, default_cover
 from .errors import BranchViolation, MembershipDrift, NotInSpace
 from .linalg_core import (BRANCH_MARGIN, MEMBERSHIP_TOL, TWO_PI, EigenDecomposition,
-                          _positive_int, eig_normal)
-from .spaces import MembershipReport, SpacePoint, _membership, is_member
+                          _positive_int, eig_normal, frobenius)
+from .spaces import (Family, MembershipReport, SpaceKind, SpacePoint, _membership, _path_point,
+                     _swap_halves, is_member)
+
+#: Unit roundoff of float64.
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -50,6 +60,14 @@ class BranchLog:
 
 @dataclass(frozen=True)
 class PathSample:
+    """One point of a contraction path, with an upper bound on each law's residual.
+
+    The source, at s = 0, carries its is_member report.  Every later sample
+    carries the path's certified bounds, or, where they do not certify the
+    path, the residuals measured on the sample; member is whether every
+    bound is at most MEMBERSHIP_TOL.
+    """
+
     s: float
     point: SpacePoint
     residuals: MembershipReport
@@ -110,8 +128,56 @@ def _branch_log(dec: EigenDecomposition, alpha: float) -> BranchLog:
     return BranchLog(H=H, alpha=alpha, winding=winding, margin=margin)
 
 
-def _contraction(point: SpacePoint, alpha: float | None, steps: int) -> HomotopyPath:
-    """contract's path, its samples a generator; the solve's and the log's errors come first."""
+def _certificate(kind: SpaceKind, P: np.ndarray, theta: np.ndarray,
+                 winding: int) -> Callable[[float], MembershipReport] | None:
+    """Bounds on each law's residual at every s in (0, 1] of the path on P and theta.
+
+    The sample at s is F = P D P*, D = diag(exp(i((1 - s) theta + s c))),
+    c = 2 pi winding / m.  With delta = ||P* P - E|| and tau = 8 m (m + 16) u,
+    which bounds the rounding of one product of near-unitary m x m factors
+    (sqrt(2) gamma_{m+2} ||P||^2; Higham, Accuracy and Stability, 3.6) and
+    of each sample phase (about 100 u), each bound is a + (1 - s) b:
+      unitarity    2 delta + 3 tau, as F F* - E = (P P* - E) + P D (P* P - E) D* P*;
+      determinant  ||det P|^2 - 1| + (1 - s)|sum theta - 2 pi winding| + 4 sqrt(m) tau,
+                   as det F = |det P|^2 exp(i (1 - s)(sum theta - 2 pi winding)), and a
+                   determinant moves by sqrt(m) times a perturbation, here the rounding
+                   of F and of the LU factorizations of F and P, of modest growth;
+      symmetry     (1 - s) ||W o (theta_i - theta_j)|| + 4 delta + 4 tau, with
+                   W = tP P (AI) or tP tJ P (AII).
+    For unitary P the symmetry defect of F is ||[W, D]||, whose entries are
+    |W_ij| |d_i - d_j| = |W_ij| 2 |sin((1 - s)(theta_i - theta_j) / 2)|.
+    P's unitary polar factor is within about delta / 2 of P, which moves F
+    and W by about delta each; delta counts the Gram product's own rounding.
+    Terms of second order in delta stay below tau wherever the bounds
+    certify.  Returns None when a bound exceeds MEMBERSHIP_TOL as s -> 0,
+    where each is largest: such a path is measured instead.
+    """
+    m = len(P)
+    tau = 8.0 * m * (m + 16) * _UNIT_ROUNDOFF
+    det_rounding = 4.0 * math.sqrt(m) * tau
+    if det_rounding > MEMBERSHIP_TOL:  # true from m = 146 on: no product can certify
+        return None
+    G = P.conj().T @ P
+    G.reshape(-1)[:: m + 1] -= 1.0  # matmul makes G C-ordered, so this is a view
+    delta = frobenius(G) + tau
+    W = P.T @ (P if kind.family is Family.AI else _swap_halves(P, -2))
+    unitarity = 2.0 * delta + 3.0 * tau
+    determinant = (abs(abs(complex(np.linalg.det(P))) ** 2 - 1.0) + det_rounding,
+                   abs(float(np.sum(theta)) - TWO_PI * winding))
+    symmetry = (4.0 * (delta + tau), frobenius(W * (theta[:, None] - theta)))
+    if not max(unitarity, sum(determinant), sum(symmetry)) <= MEMBERSHIP_TOL:
+        return None
+    return lambda s: MembershipReport(unitarity, determinant[0] + (1.0 - s) * determinant[1],
+                                      symmetry[0] + (1.0 - s) * symmetry[1], True)
+
+
+def _contraction(point: SpacePoint, alpha: float | None, steps: int,
+                 measure: bool = False) -> HomotopyPath:
+    """contract's path, its samples a generator; the solve's and the log's errors come first.
+
+    With measure, every sample carries its measured residuals, as where the
+    path's bounds do not certify it.
+    """
     dec, alpha = _spectrum(point, alpha)
     steps = _positive_int("steps", steps)
     kind = point.kind
@@ -125,16 +191,21 @@ def _contraction(point: SpacePoint, alpha: float | None, steps: int) -> Homotopy
                              f"(residual {report.max_residual:.3e})")
         yield PathSample(s=0.0, point=point, residuals=report)
         P, Ph = dec.P, dec.P.conj().T
+        bounds = None if measure else _certificate(kind, P, theta, winding)
         for i in range(1, steps + 1):
             s = i / steps
             F = (P * np.exp(1j * ((1.0 - s) * theta + s * angle_target))) @ Ph
-            report = _membership(kind, F)
-            if report.max_residual > 100.0 * MEMBERSHIP_TOL:
-                raise MembershipDrift(
-                    f"path point at s={s:g} drifted out of the space "
-                    f"(residual {report.max_residual:.3e})"
-                )
-            yield PathSample(s=s, point=SpacePoint(kind, F), residuals=report)
+            if bounds is not None:
+                report = bounds(s)
+            else:
+                report = _membership(kind, F)
+                if report.max_residual > 100.0 * MEMBERSHIP_TOL:
+                    raise MembershipDrift(
+                        f"path point at s={s:g} drifted out of the space "
+                        f"(residual {report.max_residual:.3e})"
+                    )
+            # F is finite: a certified bound or a measured residual below the drift gate says so
+            yield PathSample(s=s, point=_path_point(kind, F), residuals=report)
 
     return HomotopyPath(alpha, complex(np.exp(1j * angle_target)), samples())
 
@@ -150,11 +221,16 @@ def contract(point: SpacePoint, alpha: float | None = None, steps: int = 16) -> 
     P diag(exp(i((1 - s) theta + s 2 pi k / m))) P*, formed on the same
     eigendecomposition.  The sample at s = 0 is the source itself, with
     its is_member report; a source that is_member rejects raises
-    NotInSpace.  Every later sample carries the report is_member gives it,
-    from the same residual kernel without is_member's input checks; past
-    100 * MEMBERSHIP_TOL, or non-finite, it raises MembershipDrift, which
-    indicates an implementation bug, since the path from a member provably
-    stays inside the space.
+    NotInSpace.  Every later sample is a matrix function of the source, and
+    carries upper bounds on its residuals, not measurements: one check of
+    the basis P bounds each law at every s in (0, 1].  Where a bound
+    exceeds MEMBERSHIP_TOL, as from side m = 146 on, or for a basis P far
+    from unitary or mixing the columns of distant eigenvalues, every later
+    sample is measured with is_member's residual kernel instead; past
+    100 * MEMBERSHIP_TOL, or non-finite, a measured sample raises
+    MembershipDrift, which indicates an implementation bug, since the path
+    from a member provably stays inside the space.  Verdicts and errors are
+    those of measuring every sample.
     """
     path = _contraction(point, alpha, steps)
     return replace(path, samples=tuple(path.samples))

@@ -18,9 +18,9 @@ matrix's halves, and the AII symmetry defect tX - J X tJ is written block
 by block from X's quarters.
 
 Membership is one residual kernel, _law_residuals, on a square X and its
-symmetry defect S = tX - twin: is_member, the contraction's samples and
-factor_skew's skew laws all read it, so each check costs its three
-products (X X*, det X and S) and the norms numpy would take of them.
+symmetry defect S = tX - twin: is_member, the contraction's measured
+samples and factor_skew's skew laws all read it, so each check costs its
+three products (X X*, det X and S) and the norms numpy would take of them.
 
 Sampling is stacked: one draw forms a (c, m, m) array of points with
 stacked QR, determinant, phase and products, at most 2^16 complex entries
@@ -102,6 +102,14 @@ class SpacePoint:
                 f"{self.kind.ambient_size}, got {m.shape[0]}"
             )
         object.__setattr__(self, "matrix", m)
+
+
+def _path_point(kind: SpaceKind, X: np.ndarray) -> SpacePoint:
+    """SpacePoint(kind, X) without as_matrix's scan, for a finite complex X of kind's side."""
+    point = object.__new__(SpacePoint)
+    object.__setattr__(point, "kind", kind)
+    object.__setattr__(point, "matrix", X)
+    return point
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,19 @@ import pytest
 from lscat.linalg_core import eig_normal
 
 
+def _counting(monkeypatch, name: str) -> list:
+    """One entry per call of np.linalg.<name> made from here on."""
+    calls = []
+    original = getattr(np.linalg, name)
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
 @pytest.fixture
 def eigh_calls(monkeypatch):
     """One entry per np.linalg.eigh call made from here on.
@@ -14,12 +27,10 @@ def eigh_calls(monkeypatch):
     matrix of an earlier test and a count does not depend on test order.
     """
     eig_normal(np.diag([1j, -1j]))
-    calls = []
-    eigh = np.linalg.eigh
+    return _counting(monkeypatch, "eigh")
 
-    def counting_eigh(*args, **kwargs):
-        calls.append(None)
-        return eigh(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    return calls
+@pytest.fixture
+def det_calls(monkeypatch):
+    """One entry per np.linalg.det call made from here on."""
+    return _counting(monkeypatch, "det")

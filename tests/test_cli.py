@@ -13,7 +13,7 @@ import pytest
 from lscat import cli
 from lscat.cli import run
 from lscat.homotopy import contract
-from lscat.spaces import point_from_json
+from lscat.spaces import is_member, point_from_json
 
 GOLDEN = Path(__file__).parent / "data" / "table.csv"
 
@@ -478,21 +478,24 @@ def test_contract_streams_the_path_list(capsys, tmp_path):
     code, streamed, _ = invoke(capsys, ["contract", "--input", str(path), "--alpha", "0.3",
                                         "--steps", "5"])
     assert code == 0
+    # the library's samples, each record with the residuals is_member measures on its matrix
     lines = []
     for line in out.splitlines():
-        samples = contract(point_from_json(json.loads(line)), 0.3, steps=5).samples
+        point = point_from_json(json.loads(line))
+        samples = contract(point, 0.3, steps=5).samples
+        measured = [is_member(point.kind, s.point.matrix) for s in samples]
         lines.append(json.dumps([
             {
                 "s": s.s,
                 "matrix": {"n": 4, "entries": [[z.real, z.imag] for z in s.point.matrix.ravel()]},
                 "residuals": {
-                    "unitarity": s.residuals.unitarity,
-                    "determinant": s.residuals.determinant,
-                    "symmetry": s.residuals.symmetry,
-                    "member": s.residuals.member,
+                    "unitarity": r.unitarity,
+                    "determinant": r.determinant,
+                    "symmetry": r.symmetry,
+                    "member": r.member,
                 },
             }
-            for s in samples
+            for s, r in zip(samples, measured)
         ]))
     assert streamed == "\n".join(lines) + "\n"
 

@@ -11,8 +11,8 @@ from lscat import linalg_core
 from lscat.cli import run
 from lscat.cover import classify, default_cover
 from lscat.errors import BranchViolation, MembershipDrift, NotInSpace, NotUnitary
-from lscat.homotopy import branch_log, contract
-from lscat.linalg_core import EigenDecomposition, eig_normal
+from lscat.homotopy import _lift, _spectrum, branch_log, contract
+from lscat.linalg_core import MEMBERSHIP_TOL, EigenDecomposition, eig_normal
 from lscat.spaces import (Family, SpaceKind, SpacePoint, is_member, point_to_json, sample,
                           sample_points)
 
@@ -225,10 +225,16 @@ def test_contract_samples_match_exponential_oracle():
 
 
 def test_contract_samples_carry_is_member_reports():
-    # the samples call is_member's residual kernel directly, without its input checks
+    # each sample's residuals bound is_member's, law by law, with its verdict;
+    # the source's report is is_member's own
     for point, alpha in _contract_cases():
-        for smp in contract(point, alpha, steps=8).samples:
-            assert smp.residuals == is_member(point.kind, smp.point.matrix)
+        samples = contract(point, alpha, steps=8).samples
+        assert samples[0].residuals == is_member(point.kind, point.matrix)
+        for smp in samples:
+            measured = is_member(point.kind, smp.point.matrix)
+            assert measured.member == smp.residuals.member
+            for law in ("unitarity", "determinant", "symmetry"):
+                assert getattr(measured, law) <= getattr(smp.residuals, law)
 
 
 @pytest.mark.parametrize("kind", [SpaceKind.ai(3), SpaceKind.aii(2)], ids=["AI3", "AII2"])
@@ -248,12 +254,136 @@ def test_a_drifting_path_raises_membership_drift(monkeypatch, capsys, tmp_path, 
     assert err.startswith("error: path point at s=0.25 drifted out of the space (residual ")
 
 
+def _mixed(point, angle):
+    """point's eig_normal with two columns mixed by [[cos, i sin], [i sin, cos]] of angle.
+
+    The columns are those of the lowest and highest lifted angle at the
+    witness; the mix breaks tP P = E.
+    """
+    dec, alpha = _spectrum(point, None)
+    theta = _lift(dec, alpha)[0]
+    i, j = np.argmin(theta), np.argmax(theta)
+    c, s = np.cos(angle), 1j * np.sin(angle)
+    V = np.eye(point.kind.ambient_size, dtype=complex)
+    V[[i, i, j, j], [i, j, i, j]] = c, s, s, c
+    return EigenDecomposition(dec.P @ V, dec.eigenvalues)
+
+
+@pytest.mark.parametrize("kind", [SpaceKind.ai(4), SpaceKind.aii(3)], ids=["AI4", "AII3"])
+def test_a_perturbed_basis_stays_within_its_bound(monkeypatch, kind):
+    # eig_normal keeps the point's solve with P scaled by 1 + 1e-12, which the
+    # unitarity and determinant bounds meet to first order, or with two columns
+    # mixed by 1e-11, which breaks the symmetry law by about that much; a member
+    # turned by exp(1e-11 i / m) has det exp(1e-11 i), which the path carries
+    # towards s = 1: the bounds certify each path, and hold
+    point = sample(kind, seed=9)
+    dec = eig_normal(point.matrix)
+    turned = np.exp(1e-11j / kind.ambient_size) * point.matrix
+    for X, kept in ((point.matrix, EigenDecomposition(dec.P * (1.0 + 1e-12), dec.eigenvalues)),
+                    (point.matrix, _mixed(point, 1e-11)),
+                    (turned, eig_normal(turned))):
+        monkeypatch.setattr(linalg_core, "_kept", (X.tobytes(), kept))
+        for smp in contract(SpacePoint(kind, X), steps=16).samples[1:]:
+            measured = is_member(kind, smp.point.matrix)
+            assert smp.residuals != measured and smp.residuals.member
+            for law in ("unitarity", "determinant", "symmetry"):
+                assert getattr(measured, law) <= getattr(smp.residuals, law)
+
+
 def test_contract_makes_one_eigensolve(eigh_calls):
     for kind in (SpaceKind.ai(16), SpaceKind.aii(8)):
         point = sample(kind, seed=5)
         eigh_calls.clear()
         contract(point, np.pi / 7, steps=16)
         assert len(eigh_calls) == 1
+
+
+def test_contract_makes_one_eigensolve_and_two_determinants(eigh_calls, det_calls):
+    # the source's is_member and det P: the later samples are bounded, not measured
+    for kind in (SpaceKind.ai(16), SpaceKind.aii(8)):
+        point = sample(kind, seed=5)
+        eigh_calls.clear()
+        det_calls.clear()
+        contract(point, np.pi / 7, steps=16)
+        assert (len(eigh_calls), len(det_calls)) == (1, 2)
+
+
+@pytest.mark.parametrize("kind", [SpaceKind.ai(4), SpaceKind.aii(3)], ids=["AI4", "AII3"])
+def test_a_basis_mixed_across_the_cut_is_measured(monkeypatch, kind):
+    # eig_normal keeps the point's solve with two columns mixed by 1e-9: the
+    # symmetry bound passes MEMBERSHIP_TOL, so every sample carries is_member's
+    # report, which finds a defect of about that size
+    point = sample(kind, seed=9)
+    monkeypatch.setattr(linalg_core, "_kept", (point.matrix.tobytes(), _mixed(point, 1e-9)))
+    samples = contract(point, steps=16).samples
+    for smp in samples:
+        assert smp.residuals == is_member(kind, smp.point.matrix)
+    assert max(smp.residuals.symmetry for smp in samples) > MEMBERSHIP_TOL
+
+
+def test_a_large_point_is_measured():
+    # from side 146 the determinant's rounding term alone passes MEMBERSHIP_TOL
+    point = sample(SpaceKind.ai(150), seed=5)
+    for smp in contract(point, steps=4).samples:
+        assert smp.residuals == is_member(point.kind, smp.point.matrix)
+
+
+def _haar_cases():
+    """(point, alpha) pairs: Haar points of both families, cut at the witness and at pi/7."""
+    for family, sizes in ((Family.AI, [*range(1, 9), 64, 256]), (Family.AII, [*range(1, 7), 32])):
+        for n in sizes:
+            for point in sample_points(SpaceKind(family, n), 3 if n <= 8 else 1, seed=60 + n):
+                yield point, None
+                yield point, np.pi / 7
+
+
+def _near_cut_cases():
+    """Haar points cut 5e-7 from an eigenvalue, on either side."""
+    for kind in (SpaceKind.ai(4), SpaceKind.ai(16), SpaceKind.aii(2), SpaceKind.aii(8)):
+        for point in sample_points(kind, 3, seed=80):
+            angle = float(np.angle(eig_normal(point.matrix).eigenvalues[0]))
+            for alpha in (angle - 5e-7, angle + 5e-7):
+                assert branch_log(point.matrix, alpha).margin == pytest.approx(5e-7, rel=1e-6)
+                yield point, alpha
+
+
+def _floor_cases():
+    """Members whose witness margin is within 1e-6 of the floor pi/(2n), cut at the witness.
+
+    The extremal spectra of test_extremal_points_sit_on_the_margin_floor,
+    each angle moved by under 1e-6 with the sum kept, conjugated as a member.
+    """
+    rng = np.random.default_rng(90)
+    for n in range(1, 9):
+        r = np.arange(n)
+        eps = rng.uniform(-4e-7, 4e-7, n)
+        eps -= eps.mean()
+        O = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        theta = np.pi * (2 * r + (n % 2 == 0)) / n + eps
+        points = [SpacePoint(SpaceKind.ai(n), (O * np.exp(1j * theta)) @ O.T)]
+        if n <= 6:
+            # Kramers pairs diag(D, D), conjugated by a real orthogonal Q commuting with J
+            U = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+            Q = np.block([[U.real, -U.imag], [U.imag, U.real]])
+            D = np.exp(1j * (2 * np.pi * r / n + eps))
+            points.append(SpacePoint(SpaceKind.aii(n), (Q * np.concatenate([D, D])) @ Q.T))
+        for point in points:
+            cls = classify(default_cover(point.kind), point)
+            assert abs(cls.margins[cls.witness] - np.pi / (2 * n)) <= 1e-6
+            yield point, None
+
+
+@pytest.mark.parametrize("cases", [_haar_cases, _contract_cases, _near_cut_cases, _floor_cases],
+                         ids=["haar", "structured", "near_cut", "floor"])
+def test_every_measured_residual_is_within_its_bound(cases):
+    # a sample's residuals bound the ones is_member measures on its matrix, law by law,
+    # and carry its verdict; a measured path carries them exactly
+    for point, alpha in cases():
+        for smp in contract(point, alpha, steps=16).samples:
+            measured = is_member(point.kind, smp.point.matrix)
+            assert measured.member == smp.residuals.member
+            for law in ("unitarity", "determinant", "symmetry"):
+                assert getattr(measured, law) <= getattr(smp.residuals, law)
 
 
 def test_contract_at_the_cover_witness_makes_one_eigensolve(eigh_calls):
