@@ -21,6 +21,8 @@ column of Y (a right factor Q with Q tQ = E) gives P with det P = 1.
 
 Skew case: M = X tJ obeys tM = J M tJ and det M = 1, so M is a member of
 AII(n), and its root S obeys tS = J S tJ, whence S J tS = -S S tJ = X.
+Conversely M M* = X X*, det M = det X and tM - J M tJ = J (tX + X), so
+M's AII residuals are X's skew ones, and factor_skew checks the M it roots.
 The eigenvalues of M come in Kramers pairs, at most n points on the
 circle, so the cut is at least pi/n from each and both eigenvalues of a
 pair take the same root: det S is +-1.  A genuine obstruction lives here.
@@ -39,8 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComponentObstruction, DimensionMismatch, NoConvergence, NotInSpace
-from .linalg_core import MEMBERSHIP_TOL, TWO_PI, _widest_gap_cut, as_matrix, eig_normal, frobenius
-from .spaces import Family, SpaceKind, SpacePoint, _law_residuals, _swap_halves, is_member
+from .linalg_core import MEMBERSHIP_TOL, TWO_PI, _widest_gap_cut, as_matrix, eig_normal
+from .spaces import Family, SpaceKind, SpacePoint, _membership, _swap_halves, is_member
 
 
 @dataclass(frozen=True)
@@ -76,8 +78,8 @@ def factor_symmetric(X) -> FactorizationResult:
     if det.real < 0.0:
         P[:, -1] = -P[:, -1]
 
-    residual = frobenius(X - P @ P.T)
-    if residual > 10.0 * MEMBERSHIP_TOL * max(frobenius(X), 1.0):
+    residual = float(np.linalg.norm(X - P @ P.T))
+    if residual > 10.0 * MEMBERSHIP_TOL * max(np.linalg.norm(X), 1.0):
         raise NoConvergence(f"symmetric factorization residual {residual:.3e}")
     return FactorizationResult(P=P, residual=residual)
 
@@ -91,23 +93,23 @@ def factor_skew(X) -> FactorizationResult:
     X = as_matrix(X)
     if X.shape[0] % 2:
         raise DimensionMismatch("skew special unitary matrices have even side")
-    with np.errstate(over="ignore", invalid="ignore"):  # a nan is an overflow
-        residuals = _law_residuals(X, X.T + X)  # the defect tX - (-X)
-    if max(residuals) > MEMBERSHIP_TOL:
+    M = -_swap_halves(X, -1)  # X tJ
+    report = _membership(SpaceKind.aii(len(X) // 2), M)
+    if not report.member:
         raise NotInSpace(
-            "input is not a skew-symmetric special unitary matrix "
-            "(residuals {:.3e}/{:.3e}/{:.3e})".format(*residuals)
+            "input is not a skew-symmetric special unitary matrix (residuals "
+            f"{report.unitarity:.3e}/{report.determinant:.3e}/{report.symmetry:.3e})"
         )
 
-    P, det = _principal_root(-_swap_halves(X, -1))  # X tJ
+    P, det = _principal_root(M)
     if det.real < 0.0:
         raise ComponentObstruction(
             "the root of X tJ has det -1: the input lies in the skew "
             "congruence orbit that admits no factor P in SU(2n)"
         )
 
-    residual = frobenius(X - _swap_halves(P, -1) @ P.T)
-    if residual > 10.0 * MEMBERSHIP_TOL * max(frobenius(X), 1.0):
+    residual = float(np.linalg.norm(X - _swap_halves(P, -1) @ P.T))
+    if residual > 10.0 * MEMBERSHIP_TOL * max(np.linalg.norm(X), 1.0):
         raise NoConvergence(f"skew factorization residual {residual:.3e}")
     return FactorizationResult(P=P, residual=residual)
 

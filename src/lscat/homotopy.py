@@ -15,8 +15,8 @@ keeps every similarity the transpose makes and stays inside the space
 (Higham, Mackey, Mackey and Tisseur, SIAM J. Matrix Anal. Appl. 26, 2005).
 _certificate turns that into a bound on each law's residual along the
 whole path, read from one check of the basis P; a path whose bound
-exceeds MEMBERSHIP_TOL is measured sample by sample with is_member's
-residual kernel instead, as is every sample the CLI prints.
+exceeds MEMBERSHIP_TOL is measured sample by sample with _membership,
+is_member's formula, instead, as is every sample the CLI prints.
 By default the branch is the default cover's witness, read from the same
 eigendecomposition: this module is where a witness becomes a branch angle.
 The decomposition comes from eig_normal, which keeps the last matrix it
@@ -34,7 +34,7 @@ import numpy as np
 from .cover import classify, default_cover
 from .errors import BranchViolation, MembershipDrift, NotInSpace
 from .linalg_core import (BRANCH_MARGIN, MEMBERSHIP_TOL, TWO_PI, EigenDecomposition,
-                          _positive_int, eig_normal, frobenius)
+                          _positive_int, eig_normal)
 from .spaces import (Family, MembershipReport, SpaceKind, SpacePoint, _membership, _path_point,
                      _swap_halves, is_member)
 
@@ -159,12 +159,12 @@ def _certificate(kind: SpaceKind, P: np.ndarray, theta: np.ndarray,
         return None
     G = P.conj().T @ P
     G.reshape(-1)[:: m + 1] -= 1.0  # matmul makes G C-ordered, so this is a view
-    delta = frobenius(G) + tau
+    delta = float(np.linalg.norm(G)) + tau
     W = P.T @ (P if kind.family is Family.AI else _swap_halves(P, -2))
     unitarity = 2.0 * delta + 3.0 * tau
     determinant = (abs(abs(complex(np.linalg.det(P))) ** 2 - 1.0) + det_rounding,
                    abs(float(np.sum(theta)) - TWO_PI * winding))
-    symmetry = (4.0 * (delta + tau), frobenius(W * (theta[:, None] - theta)))
+    symmetry = (4.0 * (delta + tau), float(np.linalg.norm(W * (theta[:, None] - theta))))
     if not max(unitarity, sum(determinant), sum(symmetry)) <= MEMBERSHIP_TOL:
         return None
     return lambda s: MembershipReport(unitarity, determinant[0] + (1.0 - s) * determinant[1],
@@ -226,7 +226,7 @@ def contract(point: SpacePoint, alpha: float | None = None, steps: int = 16) -> 
     the basis P bounds each law at every s in (0, 1].  Where a bound
     exceeds MEMBERSHIP_TOL, as from side m = 146 on, or for a basis P far
     from unitary or mixing the columns of distant eigenvalues, every later
-    sample is measured with is_member's residual kernel instead; past
+    sample is measured with _membership, is_member's formula, instead; past
     100 * MEMBERSHIP_TOL, or non-finite, a measured sample raises
     MembershipDrift, which indicates an implementation bug, since the path
     from a member provably stays inside the space.  Verdicts and errors are

@@ -26,7 +26,6 @@ ValueError naming the value unless an integer >= 1; a seed must be >= 0.
 from __future__ import annotations
 
 import functools
-import math
 import numbers
 from dataclasses import dataclass
 
@@ -71,13 +70,6 @@ def as_matrix(x) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
-
-
-def frobenius(a) -> float:
-    """np.linalg.norm of a complex array without its checks: the same sums, so the same bits."""
-    x = a.ravel(order="K")
-    re, im = x.real, x.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def _norms(a) -> np.ndarray:

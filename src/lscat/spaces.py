@@ -12,15 +12,13 @@ space, lie in J's component; is_member accepts both (for odd n, E is in the
 other).  A member whose branch logarithm winds k times is in J's exactly
 when k + n is even.
 
-J's block layout and sign live in _swap_halves and _twin_defect alone:
-here and in factorizations every product with J is a signed swap of a
-matrix's halves, and the AII symmetry defect tX - J X tJ is written block
-by block from X's quarters.
+J's block layout and sign live in _swap_halves alone: here and in
+factorizations every product with J is a signed swap of a matrix's halves,
+and the AII twin J X tJ is two such swaps.
 
-Membership is one residual kernel, _law_residuals, on a square X and its
-symmetry defect S = tX - twin: is_member, the contraction's measured
-samples and factor_skew's skew laws all read it, so each check costs its
-three products (X X*, det X and S) and the norms numpy would take of them.
+Membership is one formula, _membership: the norms of X X* - E and of the
+symmetry defect tX - twin, and |det X - 1|.  is_member, the contraction's
+measured samples and factor_skew's check of X tJ all call it.
 
 Sampling is stacked: one draw forms a (c, m, m) array of points with
 stacked QR, determinant, phase and products, at most 2^16 complex entries
@@ -45,7 +43,6 @@ from .linalg_core import (
     _json_side,
     _positive_int,
     as_matrix,
-    frobenius,
     matrix_from_json,
     matrix_to_json,
 )
@@ -144,38 +141,15 @@ def _swap_halves(X, axis: int) -> np.ndarray:
     return np.concatenate([X[(..., slice(n, None), *tail)], -X[(..., slice(n), *tail)]], axis)
 
 
-def _twin_defect(X) -> np.ndarray:
-    """tX - J X tJ of a 2n x 2n X, block by block into one C-ordered array.
-
-    With X = [[A, B], [C, D]], J X tJ = [[D, -C], [-B, A]]; tC - (-C) is
-    tC + C to the bit, as is tB - (-B).
-    """
-    n = len(X) // 2
-    A, B, C, D = X[:n, :n], X[:n, n:], X[n:, :n], X[n:, n:]
-    S = np.empty(X.shape, complex)
-    np.subtract(A.T, D, out=S[:n, :n])
-    np.add(C.T, C, out=S[:n, n:])
-    np.add(B.T, B, out=S[n:, :n])
-    np.subtract(D.T, A, out=S[n:, n:])
-    return S
-
-
-def _law_residuals(X, S) -> tuple[float, ...]:
-    """||X X* - E||, |det X - 1| and ||S|| of a square X and its symmetry defect S = tX - twin.
-
-    Call it, and form S, under np.errstate(over="ignore", invalid="ignore"):
-    an overflow, or a non-finite X, reads inf.
-    """
-    G = X @ X.conj().T
-    G.reshape(-1)[:: len(X) + 1] -= 1.0  # matmul makes G C-ordered, so this is a view
-    r = (frobenius(G), float(abs(np.linalg.det(X) - 1.0)), frobenius(S))
-    return tuple(math.inf if math.isnan(x) else x for x in r)
-
-
 def _membership(kind: SpaceKind, X) -> MembershipReport:
     """is_member's report of a complex square X of kind's side; a non-finite X reads inf."""
+    twin = X if kind.family is Family.AI else _swap_halves(_swap_halves(X, -1), -2)  # J X tJ
     with np.errstate(over="ignore", invalid="ignore"):  # a nan is an overflow
-        residuals = _law_residuals(X, X.T - X if kind.family is Family.AI else _twin_defect(X))
+        G = X @ X.conj().T
+        G.reshape(-1)[:: len(X) + 1] -= 1.0  # X X* - E: matmul makes G C-ordered, so this is a view
+        residuals = [float(np.linalg.norm(G)), float(abs(np.linalg.det(X) - 1.0)),
+                     float(np.linalg.norm(X.T - twin))]
+    residuals = [math.inf if math.isnan(r) else r for r in residuals]
     return MembershipReport(*residuals, max(residuals) <= MEMBERSHIP_TOL)
 
 
@@ -184,13 +158,11 @@ def is_member(kind: SpaceKind, X) -> MembershipReport:
 
     Unitarity ||X X* - E||, determinant |det X - 1|, and the family's
     symmetry law: ||tX - X|| for AI, ||tX - J X tJ|| for AII.  The verdict
-    is true when all residuals, inf where they overflow, are at most MEMBERSHIP_TOL.
+    is true when all residuals, inf where they overflow, are at most
+    MEMBERSHIP_TOL.  An X of the wrong side raises DimensionMismatch, as
+    SpacePoint(kind, X) does.
     """
-    X = as_matrix(X)
-    m = kind.ambient_size
-    if X.shape[0] != m:
-        raise DimensionMismatch(f"expected side {m}, got {X.shape[0]}")
-    return _membership(kind, X)
+    return _membership(kind, SpacePoint(kind, X).matrix)
 
 
 #: Complex entries per array of one stacked draw.

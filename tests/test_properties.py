@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from lscat.cover import _margins, classify, default_cover, multiplicity_audit
 from lscat.errors import ComponentObstruction
 from lscat.factorizations import factor_aii, factor_symmetric
-from lscat.homotopy import _lift, _spectrum, branch_log
+from lscat.homotopy import _lift, _spectrum, branch_log, contract
 from lscat.linalg_core import (
     _MIX_WEIGHT,
     CLUSTER_TOL,
@@ -167,6 +167,25 @@ def test_aii_multiplicities_are_even(case):
         sizes = [size for _, size in multiplicity_audit(SpacePoint(kind, X))]
         assert all(size % 2 == 0 for size in sizes)
         assert sum(sizes) == kind.ambient_size
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_member_stacks(max_n=8), st.integers(0), st.floats(0.0, 1.0))
+def test_every_path_sample_is_within_its_certified_bounds(case, gap, place):
+    # each sample past the source carries bounds read from one check of the basis;
+    # is_member of its matrix stays within them, law by law, with the same verdict.
+    # The cut lies in a drawn gap of the spectrum, at least 1e-6 from both ends.
+    kind, stack, _ = case
+    for X in stack:
+        angles = np.sort(np.angle(eig_normal(X).eigenvalues))
+        gaps = np.diff(angles, append=angles[0] + 2 * np.pi)
+        j = gap % len(gaps) if gaps[gap % len(gaps)] >= 2e-6 else int(np.argmax(gaps))
+        alpha = angles[j] + 1e-6 + place * (gaps[j] - 2e-6)
+        for smp in contract(SpacePoint(kind, X), alpha, steps=8).samples:
+            measured = is_member(kind, smp.point.matrix)
+            assert measured.member == smp.residuals.member
+            for law in ("unitarity", "determinant", "symmetry"):
+                assert getattr(measured, law) <= getattr(smp.residuals, law)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

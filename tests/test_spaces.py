@@ -6,13 +6,13 @@ import re
 import numpy as np
 import pytest
 
-from lscat.errors import DimensionMismatch
+from lscat.errors import DimensionMismatch, NotInSpace
+from lscat.factorizations import factor_skew
 from lscat.linalg_core import eig_normal
 from lscat.spaces import (
     Family,
     SpaceKind,
     SpacePoint,
-    _law_residuals,
     _swap_halves,
     haar_special_unitary,
     is_member,
@@ -135,7 +135,7 @@ def test_is_member_aii_symmetry_equals_J_conjugation_reference():
 
 
 def norm_formula(X, twin):
-    """The residuals as three norms of dense temporaries: the oracle of the kernel."""
+    """The residuals as three norms of dense temporaries: the oracle of is_member."""
     with np.errstate(over="ignore", invalid="ignore"):
         r = (float(np.linalg.norm(X @ X.conj().T - np.eye(len(X)))),
              float(abs(np.linalg.det(X) - 1.0)), float(np.linalg.norm(X.T - twin)))
@@ -169,16 +169,30 @@ def test_law_residuals_equal_the_norm_formula_bit_for_bit(kind):
                 assert (report.unitarity, report.determinant, report.symmetry) == norm_formula(X, twin)
                 assert report.member == (X0 is point.matrix)
                 assert (report.unitarity == math.inf) == any(X0 is h for h in huge)
-                # factor_skew's defect tX + X is tX - (-X) to the bit
-                with np.errstate(over="ignore", invalid="ignore"):
-                    assert _law_residuals(X, X.T + X) == norm_formula(X, -X)
+                assert [type(r) for r in vars(report).values()] == [float, float, float, bool]
+                if m % 2 == 0:
+                    for Y in (X, _swap_halves(X, -2)):  # tJ X is skew for an AII member X
+                        assert_factor_skew_checks_y_tj(Y)
+
+
+def assert_factor_skew_checks_y_tj(Y):
+    """factor_skew rejects Y exactly when is_member rejects Y tJ, with that report's residuals."""
+    report = is_member(SpaceKind.aii(len(Y) // 2), -_swap_halves(Y, -1))
+    if report.member:
+        factor_skew(Y)
+    else:
+        residuals = f"{report.unitarity:.3e}/{report.determinant:.3e}/{report.symmetry:.3e}"
+        with pytest.raises(NotInSpace, match=re.escape(f"(residuals {residuals})")):
+            factor_skew(Y)
 
 
 def test_is_member_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        is_member(SpaceKind.ai(3), np.eye(4))
-    with pytest.raises(DimensionMismatch):
-        SpacePoint(SpaceKind.aii(2), np.eye(3))
+    # is_member takes its side check, and so its message, from SpacePoint
+    for kind, side, message in ((SpaceKind.ai(3), 4, "AI(3) needs side 3, got 4"),
+                                (SpaceKind.aii(2), 3, "AII(2) needs side 4, got 3")):
+        for check in (is_member, SpacePoint):
+            with pytest.raises(DimensionMismatch, match=re.escape(message)):
+                check(kind, np.eye(side))
 
 
 def test_sampler_formula_boundary_cases():
