@@ -41,7 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComponentObstruction, DimensionMismatch, NoConvergence, NotInSpace
-from .linalg_core import MEMBERSHIP_TOL, TWO_PI, _widest_gap_cut, as_matrix, eig_normal
+from .linalg_core import (MEMBERSHIP_TOL, TWO_PI, _spectral_product, _widest_gap_cut, as_matrix,
+                          eig_normal)
 from .spaces import Family, SpaceKind, SpacePoint, _membership, _swap_halves, is_member
 
 
@@ -59,7 +60,7 @@ def _principal_root(X) -> tuple[np.ndarray, complex]:
     angles = np.angle(dec.eigenvalues)
     cut = _widest_gap_cut(angles)
     roots = np.exp(0.5j * (cut + np.mod(angles - cut, TWO_PI)))
-    return (dec.P * roots) @ dec.P.conj().T, np.prod(roots)
+    return _spectral_product(dec.P, roots), np.prod(roots)
 
 
 def factor_symmetric(X) -> FactorizationResult:

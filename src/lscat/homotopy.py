@@ -34,7 +34,7 @@ import numpy as np
 from .cover import classify, default_cover
 from .errors import BranchViolation, MembershipDrift, NotInSpace
 from .linalg_core import (BRANCH_MARGIN, MEMBERSHIP_TOL, TWO_PI, EigenDecomposition,
-                          _positive_int, eig_normal)
+                          _positive_int, _spectral_product, eig_normal)
 from .spaces import (Family, MembershipReport, SpaceKind, SpacePoint, _membership, _path_point,
                      _swap_halves, is_member)
 
@@ -123,7 +123,7 @@ def branch_log(X, alpha: float) -> BranchLog:
 def _branch_log(dec: EigenDecomposition, alpha: float) -> BranchLog:
     """branch_log of the matrix whose eig_normal is dec."""
     theta, alpha, margin, winding = _lift(dec, alpha)
-    H = (dec.P * (1j * theta)) @ dec.P.conj().T
+    H = _spectral_product(dec.P, 1j * theta)
     H = (H - H.conj().T) / 2.0
     return BranchLog(H=H, alpha=alpha, winding=winding, margin=margin)
 
@@ -149,8 +149,15 @@ def _certificate(kind: SpaceKind, P: np.ndarray, theta: np.ndarray,
     P's unitary polar factor is within about delta / 2 of P, which moves F
     and W by about delta each; delta counts the Gram product's own rounding.
     Terms of second order in delta stay below tau wherever the bounds
-    certify.  Returns None when a bound exceeds MEMBERSHIP_TOL as s -> 0,
-    where each is largest: such a path is measured instead.
+    certify.  A real P, the eigenbasis of an AI point equal to its
+    transpose, makes F, P* P, W and det P real computations: each entry of
+    Re F and of Im F is one real dot product of length m, of a row of P with
+    a column of tP scaled by cos or sin of the phase, so it rounds by at most
+    gamma_{m+1} times the same sum of absolute terms, and |cos| + |sin| <=
+    sqrt(2) gives sqrt(2) gamma_{m+1} ||P||^2 for F, below the complex
+    product's bound; so tau bounds the real products too.  Returns None
+    when a bound exceeds MEMBERSHIP_TOL as s -> 0, where each is largest:
+    such a path is measured instead.
     """
     m = len(P)
     tau = 8.0 * m * (m + 16) * _UNIT_ROUNDOFF
@@ -190,11 +197,10 @@ def _contraction(point: SpacePoint, alpha: float | None, steps: int,
             raise NotInSpace(f"source is not a member of {kind.family.value}({kind.n}) "
                              f"(residual {report.max_residual:.3e})")
         yield PathSample(s=0.0, point=point, residuals=report)
-        P, Ph = dec.P, dec.P.conj().T
-        bounds = None if measure else _certificate(kind, P, theta, winding)
+        bounds = None if measure else _certificate(kind, dec.P, theta, winding)
         for i in range(1, steps + 1):
             s = i / steps
-            F = (P * np.exp(1j * ((1.0 - s) * theta + s * angle_target))) @ Ph
+            F = _spectral_product(dec.P, np.exp(1j * ((1.0 - s) * theta + s * angle_target)))
             if bounds is not None:
                 report = bounds(s)
             else:

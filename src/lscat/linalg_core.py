@@ -7,16 +7,21 @@ point, and every logarithm and path formed on it, is read.
 It is reduced to Hermitian eigensolves: a unitary matrix splits into
 commuting Hermitian parts, and a solve of a weighted combination recovers
 a joint eigenbasis.  One solve of the fixed weight takes a whole
-(T, m, m) stack, each matrix gated as near-unitary.  The weight can fold
-two eigenvalues together, so a matrix failing its residual check is solved
-again by its Cayley transform, Hermitian and one-to-one on the spectrum,
-cut in the widest gap of the angles.  The cover audit's margins read a
-whole stack in the solver's order.  Every one-matrix solve is
-eig_normal: it sorts the eigenpairs and keeps the last matrix solved, so
-classify then contract on one point solves once.
+(T, m, m) stack, each matrix gated as near-unitary.  A stack whose every
+matrix equals its transpose, as every sampled AI point does, has real
+symmetric commuting parts Re X and Im X: its weighted combination is real,
+so it is solved by a real eigh and its eigenbasis is real orthogonal, and
+_spectral_product forms P diag(d) P* on such a basis as one real product.
+The weight can fold two eigenvalues together, so a matrix failing its
+residual check is solved again by its Cayley transform, Hermitian and
+one-to-one on the spectrum, cut in the widest gap of the angles, in
+complex arithmetic.  The cover audit's margins read a whole stack in the
+solver's order.  Every one-matrix solve is eig_normal: it sorts the
+eigenpairs and keeps the last matrix solved, so classify then contract on
+one point solves once.
 
-Matrices are plain numpy complex arrays; operations never modify their
-inputs.  The gates are the fixed constants MEMBERSHIP_TOL,
+Matrices are plain numpy complex arrays, save a real eigenbasis; operations
+never modify their inputs.  The gates are the fixed constants MEMBERSHIP_TOL,
 CLUSTER_TOL and BRANCH_MARGIN.  Residual thresholds are relative to the
 Frobenius norm of the input, falling back to absolute for zero input.  Every
 count the package takes (n, steps, trials, count) passes _positive_int, a
@@ -53,7 +58,9 @@ class EigenDecomposition:
 
     Eigenvalues are sorted by ascending principal argument in (-pi, pi],
     ties broken by ascending imaginary part; P's columns follow the same
-    order.  eig_normal returns both arrays read-only.
+    order.  P is real orthogonal (float64) when X equals its transpose and
+    the first solve passed its residual check, and complex otherwise.
+    eig_normal returns both arrays read-only.
     """
 
     P: np.ndarray
@@ -106,6 +113,8 @@ def _eig_stack(X) -> tuple[np.ndarray, np.ndarray]:
 
     Splits each X = H1 + i H2 into commuting Hermitian parts and solves
     H1 + mu H2 over the whole stack; the joint eigenbasis diagonalizes X.
+    When every X equals its transpose, H1 = Re X and H2 = Im X, so the
+    real symmetric Re X + mu Im X is solved instead, to a real V.
     Eigenvalues are Rayleigh quotients, accepted after a residual check.
     The weight folds the angles arctan(mu) +- delta onto one mixed
     eigenvalue, so a failing row is solved again by the Cayley transform,
@@ -114,10 +123,11 @@ def _eig_stack(X) -> tuple[np.ndarray, np.ndarray]:
     Hermitian and maps e^{i theta} one-to-one to tan((theta - c + pi)/2).
 
     Returns (V, lam) with X[t] V[t] = V[t] diag(lam[t]), V unitary to
-    working precision.  Raises NotUnitary unless every ||X X* - E|| is
-    within 100 * MEMBERSHIP_TOL * max(||X||, 1), which an overflow fails,
-    and NoConvergence when a re-solved row fails the check, as a matrix
-    too far from normal does.
+    working precision; V is complex once a row is re-solved.  Raises
+    NotUnitary unless every ||X X* - E|| is within
+    100 * MEMBERSHIP_TOL * max(||X||, 1), which an overflow fails, and
+    NoConvergence when a re-solved row fails the check, as a matrix too far
+    from normal does.
     """
     Xh = X.conj().swapaxes(1, 2)
     E = np.eye(X.shape[-1])
@@ -126,10 +136,14 @@ def _eig_stack(X) -> tuple[np.ndarray, np.ndarray]:
         if not (_norms(X @ Xh - E) / np.maximum(s, 1.0) <= 100.0 * MEMBERSHIP_TOL).all():
             raise NotUnitary("matrix is not unitary")
 
-    V = np.linalg.eigh((X + Xh) / 2.0 + _MIX_WEIGHT * ((X - Xh) / 2.0j))[1]
+    if np.array_equal(X, X.swapaxes(1, 2)):  # the mixed matrix below is then this one, exactly
+        V = np.linalg.eigh(X.real + _MIX_WEIGHT * X.imag)[1]
+    else:
+        V = np.linalg.eigh((X + Xh) / 2.0 + _MIX_WEIGHT * ((X - Xh) / 2.0j))[1]
     lam, r = _ritz(X, V)
     folded = np.flatnonzero(r > MEMBERSHIP_TOL * s)
     if folded.size:
+        V = V.astype(complex, copy=False)
         Xf = X[folded]
         cut = _widest_gap_cut(np.angle(np.linalg.eigvals(Xf)))
         Y = -np.exp(-1j * cut)[:, None, None] * Xf
@@ -154,6 +168,13 @@ def _ritz(X, V) -> tuple[np.ndarray, np.ndarray]:
     XV = X @ V
     lam = np.einsum("...ij,...ij->...j", V.conj(), XV)
     return lam, _norms(XV - V * lam[..., None, :])
+
+
+def _spectral_product(P, d) -> np.ndarray:
+    """P diag(d) P* for a square P and complex d: one real product on the float view if P is real."""
+    if P.dtype.kind == "f":
+        return (P @ np.multiply(d[:, None], P.T, order="C").view(float)).view(complex)
+    return (P * d) @ P.conj().T
 
 
 #: The bytes of the last matrix eig_normal solved, and its decomposition.

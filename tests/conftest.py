@@ -7,12 +7,12 @@ from lscat.linalg_core import eig_normal
 
 
 def _counting(monkeypatch, name: str) -> list:
-    """One entry per call of np.linalg.<name> made from here on."""
+    """The positional arguments of each call of np.linalg.<name> made from here on."""
     calls = []
     original = getattr(np.linalg, name)
 
     def counting(*args, **kwargs):
-        calls.append(None)
+        calls.append(args)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, name, counting)
@@ -21,7 +21,7 @@ def _counting(monkeypatch, name: str) -> list:
 
 @pytest.fixture
 def eigh_calls(monkeypatch):
-    """One entry per np.linalg.eigh call made from here on.
+    """The arguments of each np.linalg.eigh call made from here on.
 
     It first solves an unrelated matrix, so eig_normal does not keep a
     matrix of an earlier test and a count does not depend on test order.
@@ -32,5 +32,5 @@ def eigh_calls(monkeypatch):
 
 @pytest.fixture
 def det_calls(monkeypatch):
-    """One entry per np.linalg.det call made from here on."""
+    """The arguments of each np.linalg.det call made from here on."""
     return _counting(monkeypatch, "det")

@@ -14,6 +14,7 @@ from lscat.linalg_core import (
     CLUSTER_TOL,
     MEMBERSHIP_TOL,
     _eig_stack,
+    _spectral_product,
     angular_distance,
     as_matrix,
     cluster_angles,
@@ -38,6 +39,14 @@ def random_unitary(m, rng):
     z = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def random_rotation(m, rng):
+    """A Haar element of SO(m): sign-corrected real Ginibre QR, its first column turned to det 1."""
+    q, r = np.linalg.qr(rng.standard_normal((m, m)))
+    q = q * np.sign(np.diagonal(r))
+    q[:, 0] *= np.sign(np.linalg.det(q))
+    return q
 
 
 def test_gate_constants():
@@ -77,6 +86,99 @@ def test_eig_normal_random_unitaries_residuals():
         dec = eig_normal(X)
         assert np.linalg.norm(X - dec.P @ np.diag(dec.eigenvalues) @ dec.P.conj().T) <= 1e-9
         assert np.linalg.norm(dec.P @ dec.P.conj().T - np.eye(m)) <= 1e-10
+
+
+def solved_once(eigh_calls, X, dtype):
+    """eig_normal(X) makes one eigh call, on an argument of dtype, and returns P of dtype.
+
+    P is orthonormal to 1e-13 m, and P diag(lam) P* is X within
+    MEMBERSHIP_TOL ||X||.
+    """
+    eig_normal(np.diag([1j, -1j]))  # an unrelated solve: eig_normal no longer keeps X
+    eigh_calls.clear()
+    dec = eig_normal(X)
+    ((arg,),) = eigh_calls
+    assert arg.dtype == dtype and dec.P.dtype == dtype
+    m = len(X)
+    assert np.linalg.norm(dec.P.conj().T @ dec.P - np.eye(m)) <= 1e-13 * m
+    assert np.linalg.norm(X - (dec.P * dec.eigenvalues) @ dec.P.conj().T) <= (
+        MEMBERSHIP_TOL * np.linalg.norm(X))
+
+
+def symmetric_unitaries():
+    """Haar AI points of n = 1...8 and 64, and diagonal unitaries: each equals its transpose."""
+    for n in range(1, 9):
+        yield from (p.matrix for p in sample_points(SpaceKind.ai(n), 1 if n == 1 else 3, seed=n))
+    yield sample(SpaceKind.ai(64), seed=64).matrix
+    theta = np.random.default_rng(5).uniform(-np.pi, np.pi, 6)
+    yield np.diag(np.exp(1j * theta))
+    yield np.diag(np.exp(1j * np.array([0.5, 0.5, 0.5, -1.5])))  # an exact cluster
+    yield np.diag([1.0, -1.0, -1.0]).astype(complex)
+    yield np.eye(5, dtype=complex)
+
+
+def test_a_symmetric_unitary_is_solved_in_real_arithmetic(eigh_calls):
+    # Re X and Im X commute and are real symmetric, so the mixed matrix
+    # Re X + mu Im X is real and its eigh returns a real orthogonal P
+    for X in symmetric_unitaries():
+        assert X.tobytes() == np.ascontiguousarray(X.T).tobytes()
+        solved_once(eigh_calls, X, np.float64)
+
+
+def test_a_matrix_unequal_to_its_transpose_is_solved_in_complex_arithmetic(eigh_calls):
+    # an AI member with one off-diagonal entry moved by 1 ulp is still a member,
+    # but takes the complex solve, as every AII point does
+    for n in (2, 3, 8, 64):
+        X = sample(SpaceKind.ai(n), seed=n).matrix
+        solved_once(eigh_calls, X, np.float64)
+        nudged = X.copy()
+        nudged.real[0, 1] = np.nextafter(X.real[0, 1], np.inf)
+        assert is_member(SpaceKind.ai(n), nudged).member
+        solved_once(eigh_calls, nudged, np.complex128)
+    for n in (1, 2, 3, 8, 32):
+        solved_once(eigh_calls, sample(SpaceKind.aii(n), seed=n).matrix, np.complex128)
+
+
+def test_a_folded_row_of_a_symmetric_stack_is_solved_again_in_complex_arithmetic(eigh_calls):
+    # X = Q diag(e^{i theta}) tQ, formed as P tP with P = Q diag(e^{i theta / 2}),
+    # so it equals its transpose; the real mixed matrix folds its pair
+    # arctan(mu) +- 1e-4, so its row is solved again by the Cayley transform,
+    # and the whole stack's basis becomes complex
+    rng = np.random.default_rng(31)
+    m = 8
+    phi = np.arctan(_MIX_WEIGHT)
+    theta = np.concatenate([[phi + 1e-4, phi - 1e-4], rng.uniform(-np.pi, np.pi, m - 2)])
+    theta[-1] -= theta.sum()
+    P = random_rotation(m, rng) * np.exp(0.5j * theta)
+    X = P @ P.T
+    assert np.array_equal(X, X.T) and is_member(SpaceKind.ai(m), X).member
+    stack = np.array([sample(SpaceKind.ai(m), seed=1).matrix, X])
+    eigh_calls.clear()
+    V, lam = _eig_stack(stack)
+    (first,), (second,) = eigh_calls
+    assert first.dtype == np.float64 and second.dtype == np.complex128 and len(second) == 1
+    assert V.dtype == np.complex128
+    for Y, W, w in zip(stack, V, lam):
+        assert np.linalg.norm(W.conj().T @ W - np.eye(m)) <= 1e-13 * m
+        assert np.linalg.norm(Y - (W * w) @ W.conj().T) <= 1e-12
+    assert np.allclose(np.sort(np.angle(lam[1])), np.sort(np.angle(np.exp(1j * theta))),
+                       atol=1e-12)
+    dec = eig_normal(X)
+    assert dec.P.dtype == np.complex128
+    assert np.linalg.norm(X - (dec.P * dec.eigenvalues) @ dec.P.conj().T) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 4, 64])
+def test_spectral_product_of_a_real_basis_matches_the_complex_formula(m):
+    rng = np.random.default_rng(m)
+    Q = random_rotation(m, rng)
+    d = np.exp(1j * rng.uniform(-np.pi, np.pi, m))
+    Qc = Q.astype(complex)
+    want = (Qc * d) @ Qc.conj().T
+    got = _spectral_product(Q, d)
+    assert got.dtype == np.complex128 and got.shape == (m, m) and got.flags.c_contiguous
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    assert np.array_equal(_spectral_product(Qc, d), want)  # a complex basis takes the formula
 
 
 def test_eig_normal_solves_once_per_matrix_when_points_alternate(eigh_calls):
