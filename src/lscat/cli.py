@@ -29,7 +29,7 @@ from .catbounds import ClassicalFamily, describe, render_table
 from .cover import classify, cover_audit, default_cover
 from .errors import LscatError
 from .factorizations import factor_aii, factor_symmetric
-from .homotopy import _branch_log, _contraction, _spectrum
+from .homotopy import _branch_angle, _contraction, branch_log
 from .linalg_core import matrix_from_json, matrix_to_json
 from .spaces import (
     Family,
@@ -191,7 +191,7 @@ def _cmd_factor(parser, args) -> None:
 
 def _cmd_log(parser, args) -> None:
     for point in _points_from_input(parser, args):
-        bl = _branch_log(*_spectrum(point, args.alpha))
+        bl = branch_log(point.matrix, _branch_angle(point, args.alpha))
         _emit({**vars(bl), "H": matrix_to_json(bl.H)})
         _note(f"branch log at alpha={bl.alpha:.6f}: winding {bl.winding}")
 
@@ -199,10 +199,10 @@ def _cmd_log(parser, args) -> None:
 def _cmd_contract(parser, args) -> None:
     """One JSON list of samples per point, written element by element."""
     for point in _points_from_input(parser, args):
-        path = _contraction(point, args.alpha, args.steps, measure=True)
+        _, target_scalar, samples = _contraction(point, args.alpha, args.steps, measure=True)
         worst = 0.0
         separator = "["
-        for s in path.samples:
+        for s in samples:
             # vars(report) holds unitarity, determinant, symmetry and member, in that order
             record = {"s": s.s, "matrix": matrix_to_json(s.point.matrix),
                       "residuals": vars(s.residuals)}
@@ -212,7 +212,7 @@ def _cmd_contract(parser, args) -> None:
         sys.stdout.write("]\n")
         _note(
             f"contracted in {args.steps} steps to scalar "
-            f"{path.target_scalar:.6f}; max residual {worst:.3e}"
+            f"{target_scalar:.6f}; max residual {worst:.3e}"
         )
 
 

@@ -18,11 +18,11 @@ draws, solves and classifies its samples as (c, m, m) stacks of at most
 2^16 complex entries per array, so its memory does not grow with the
 number of trials.  The eigensolver forms the spectra of a whole stack in
 one solve and gates each matrix as near-unitary, raising NotUnitary.
-classify and multiplicity_audit read eig_normal, whose kept solve a
-contract of the same point reuses; a margin is a minimum over the
-spectrum, so the sort changes none, and a cluster's mean is summed in
-sorted-angle order.  default_cover is memoized: a kind's lambdas are
-formed once, and every call for that kind returns the same config.
+classify and multiplicity_audit read eig_normal's sorted spectrum; a
+margin is a minimum over the spectrum, so the sort changes none, and a
+cluster's mean is summed in sorted-angle order.  default_cover is
+memoized: a kind's lambdas are formed once, and every call for that kind
+returns the same config.
 """
 
 from __future__ import annotations
@@ -47,10 +47,14 @@ from .spaces import Family, SpaceKind, SpacePoint, _member_stacks, is_member
 
 @dataclass(frozen=True)
 class CoverConfig:
-    """The avoided eigenvalues lambda_1, ..., lambda_n of a kind's cover."""
+    """The avoided eigenvalues lambda_1, ..., lambda_n of a kind's cover: one or more, finite."""
 
     kind: SpaceKind
     lambdas: tuple[complex, ...]
+
+    def __post_init__(self):
+        if not self.lambdas or not np.isfinite(self.lambdas).all():
+            raise ValueError(f"expected one or more finite lambdas, got {self.lambdas!r}")
 
 
 @dataclass(frozen=True)

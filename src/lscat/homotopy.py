@@ -17,17 +17,16 @@ _certificate turns that into a bound on each law's residual along the
 whole path, read from one check of the basis P; a path whose bound
 exceeds MEMBERSHIP_TOL is measured sample by sample with _membership,
 is_member's formula, instead, as is every sample the CLI prints.
-By default the branch is the default cover's witness, read from the same
-eigendecomposition: this module is where a witness becomes a branch angle.
-The decomposition comes from eig_normal, which keeps the last matrix it
-solved, so classify followed by contract on one point solves once.
+By default the branch is the default cover's witness: this module is
+where a witness becomes a branch angle.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,8 +83,8 @@ class HomotopyPath:
 
 def _lift(dec: EigenDecomposition, alpha: float) -> tuple[np.ndarray, float, float, int]:
     """(theta, alpha mod 2 pi, margin, winding) of dec, where X = P diag(e^{i theta}) P*."""
-    if not np.isfinite(alpha):
-        raise ValueError(f"branch angle must be finite, got {alpha!r}")
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not math.isfinite(alpha):
+        raise ValueError(f"branch angle must be a finite real number, got {alpha!r}")
     alpha = float(np.mod(alpha, TWO_PI))
     rel = np.mod(np.angle(dec.eigenvalues) - alpha, TWO_PI)
     margin = float(np.min(np.minimum(rel, TWO_PI - rel)))
@@ -97,16 +96,12 @@ def _lift(dec: EigenDecomposition, alpha: float) -> tuple[np.ndarray, float, flo
     return theta, alpha, margin, int(round(float(np.sum(theta)) / TWO_PI))
 
 
-def _spectrum(point: SpacePoint, alpha: float | None) -> tuple[EigenDecomposition, float]:
-    """point's one eig_normal and the branch angle: alpha, or if None the cover witness's.
-
-    classify reads the witness from the solve eig_normal has just kept.
-    """
-    dec = eig_normal(point.matrix)
+def _branch_angle(point: SpacePoint, alpha: float | None) -> float:
+    """The branch angle of point's logarithm: alpha, or if None the default cover's witness's."""
     if alpha is None:
         config = default_cover(point.kind)
         alpha = float(np.angle(config.lambdas[classify(config, point).witness]))
-    return dec, alpha
+    return alpha
 
 
 def branch_log(X, alpha: float) -> BranchLog:
@@ -114,14 +109,10 @@ def branch_log(X, alpha: float) -> BranchLog:
 
     Raises BranchViolation when some eigenvalue is closer than BRANCH_MARGIN
     to the branch point e^{i alpha}; that failure is exactly the signal that
-    X lies outside the covering set avoiding e^{i alpha}.  A non-finite
-    alpha raises ValueError.
+    X lies outside the covering set avoiding e^{i alpha}.  An alpha that is
+    not a finite real number raises ValueError.
     """
-    return _branch_log(eig_normal(X), alpha)
-
-
-def _branch_log(dec: EigenDecomposition, alpha: float) -> BranchLog:
-    """branch_log of the matrix whose eig_normal is dec."""
+    dec = eig_normal(X)
     theta, alpha, margin, winding = _lift(dec, alpha)
     H = _spectral_product(dec.P, 1j * theta)
     H = (H - H.conj().T) / 2.0
@@ -178,14 +169,15 @@ def _certificate(kind: SpaceKind, P: np.ndarray, theta: np.ndarray,
                                       symmetry[0] + (1.0 - s) * symmetry[1], True)
 
 
-def _contraction(point: SpacePoint, alpha: float | None, steps: int,
-                 measure: bool = False) -> HomotopyPath:
-    """contract's path, its samples a generator; the solve's and the log's errors come first.
+def _contraction(point: SpacePoint, alpha: float | None, steps: int, measure: bool = False
+                 ) -> tuple[float, complex, Iterator[PathSample]]:
+    """contract's (alpha, target_scalar, samples); the solve's and the log's errors come first.
 
     With measure, every sample carries its measured residuals, as where the
     path's bounds do not certify it.
     """
-    dec, alpha = _spectrum(point, alpha)
+    dec = eig_normal(point.matrix)
+    alpha = _branch_angle(point, alpha)
     steps = _positive_int("steps", steps)
     kind = point.kind
     theta, alpha, _, winding = _lift(dec, alpha)
@@ -213,30 +205,29 @@ def _contraction(point: SpacePoint, alpha: float | None, steps: int,
             # F is finite: a certified bound or a measured residual below the drift gate says so
             yield PathSample(s=s, point=_path_point(kind, F), residuals=report)
 
-    return HomotopyPath(alpha, complex(np.exp(1j * angle_target)), samples())
+    return alpha, complex(np.exp(1j * angle_target)), samples()
 
 
 def contract(point: SpacePoint, alpha: float | None = None, steps: int = 16) -> HomotopyPath:
     """Contract a member along the linear log path onto a scalar matrix.
 
-    The logarithm is cut at alpha; None cuts it at the default cover's
-    witness lambda_r, read from the point's one eigendecomposition, which
-    keeps every eigenvalue at least pi/(2n) from the cut.  The target
-    logarithm is (2 pi i k / m) E with m the ambient side.  It commutes
-    with H = P diag(i theta) P*, so the sample at s is
-    P diag(exp(i((1 - s) theta + s 2 pi k / m))) P*, formed on the same
-    eigendecomposition.  The sample at s = 0 is the source itself, with
-    its is_member report; a source that is_member rejects raises
-    NotInSpace.  Every later sample is a matrix function of the source, and
-    carries upper bounds on its residuals, not measurements: one check of
-    the basis P bounds each law at every s in (0, 1].  Where a bound
-    exceeds MEMBERSHIP_TOL, as from side m = 146 on, or for a basis P far
-    from unitary or mixing the columns of distant eigenvalues, every later
-    sample is measured with _membership, is_member's formula, instead; past
-    100 * MEMBERSHIP_TOL, or non-finite, a measured sample raises
+    The logarithm is cut at alpha, a finite real number; None cuts it at the
+    default cover's witness lambda_r, which keeps every eigenvalue at least
+    pi/(2n) from the cut.  The target logarithm is (2 pi i k / m) E with m
+    the ambient side.  It commutes with H = P diag(i theta) P*, so the
+    sample at s is P diag(exp(i((1 - s) theta + s 2 pi k / m))) P*, formed
+    on the same eigendecomposition.  The sample at s = 0 is the source
+    itself, with its is_member report; a source that is_member rejects
+    raises NotInSpace.  Every later sample is a matrix function of the
+    source, and carries upper bounds on its residuals, not measurements: one
+    check of the basis P bounds each law at every s in (0, 1].  Where a
+    bound exceeds MEMBERSHIP_TOL, as from side m = 146 on, or for a basis P
+    far from unitary or mixing the columns of distant eigenvalues, every
+    later sample is measured with _membership, is_member's formula, instead;
+    past 100 * MEMBERSHIP_TOL, or non-finite, a measured sample raises
     MembershipDrift, which indicates an implementation bug, since the path
     from a member provably stays inside the space.  Verdicts and errors are
     those of measuring every sample.
     """
-    path = _contraction(point, alpha, steps)
-    return replace(path, samples=tuple(path.samples))
+    alpha, target_scalar, samples = _contraction(point, alpha, steps)
+    return HomotopyPath(alpha, target_scalar, tuple(samples))

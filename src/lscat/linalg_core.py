@@ -16,9 +16,10 @@ The weight can fold two eigenvalues together, so a matrix failing its
 residual check is solved again by its Cayley transform, Hermitian and
 one-to-one on the spectrum, cut in the widest gap of the angles, in
 complex arithmetic.  The cover audit's margins read a whole stack in the
-solver's order.  Every one-matrix solve is eig_normal: it sorts the
-eigenpairs and keeps the last matrix solved, so classify then contract on
-one point solves once.
+solver's order.  Every one-matrix solve is eig_normal, which sorts the
+eigenpairs and keeps the last matrix solved: the only carrier of a point's
+decomposition.  classify, multiplicity_audit, branch_log, contract and
+factor_symmetric share it, so any two of them on one point solve once.
 
 Matrices are plain numpy complex arrays, save a real eigenbasis; operations
 never modify their inputs.  The gates are the fixed constants MEMBERSHIP_TOL,

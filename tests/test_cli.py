@@ -12,7 +12,9 @@ import pytest
 
 from lscat import cli
 from lscat.cli import run
-from lscat.homotopy import contract
+from lscat.cover import classify, default_cover
+from lscat.homotopy import branch_log, contract
+from lscat.linalg_core import matrix_to_json
 from lscat.spaces import is_member, point_from_json
 
 GOLDEN = Path(__file__).parent / "data" / "table.csv"
@@ -94,6 +96,22 @@ def test_log_and_contract_pipe(capsys, tmp_path):
     )
     assert worst <= 1e-8
     assert all(s["residuals"]["member"] for s in samples)
+
+
+@pytest.mark.parametrize("record", ["ai", "aii", "fold_ai13"])
+def test_log_prints_branch_log_at_the_given_or_the_witness_angle(capsys, tmp_path, record):
+    if record == "fold_ai13":
+        path = Path(__file__).parent / "data" / "fold_ai13.ndjson"
+    else:
+        path, _ = sample_to_file(capsys, tmp_path, ["--space", record, "--n", "3", "--seed", "4"])
+    point = point_from_json(json.loads(path.read_text()))
+    config = default_cover(point.kind)
+    witness_angle = float(np.angle(config.lambdas[classify(config, point).witness]))
+    for flags, alpha in ((["--alpha-from-cover"], witness_angle), (["--alpha", "0.3"], 0.3)):
+        code, out, _ = invoke(capsys, ["log", *flags, "--input", str(path)])
+        bl = branch_log(point.matrix, alpha)
+        assert code == 0
+        assert out == json.dumps({**vars(bl), "H": matrix_to_json(bl.H)}, allow_nan=False) + "\n"
 
 
 def test_explicit_alpha(capsys, tmp_path):

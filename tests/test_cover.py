@@ -8,6 +8,7 @@ import pytest
 
 from lscat.cli import run
 from lscat.cover import (
+    CoverConfig,
     classify,
     cover_audit,
     default_cover,
@@ -71,6 +72,16 @@ def test_default_cover_is_memoized_per_kind(family, n):
     assert config.kind == SpaceKind(family, n)
     assert config.lambdas == tuple(complex(np.exp(1j * (np.pi / (2 * n) + 2 * np.pi * r / n)))
                                    for r in range(1, n + 1))
+
+
+@pytest.mark.parametrize("lambdas", [(), (np.nan,), (1j, complex(np.inf, 0.0))],
+                         ids=["empty", "nan", "inf"])
+def test_cover_config_rejects_no_lambdas_and_non_finite_ones(lambdas):
+    kind = SpaceKind.ai(2)
+    with pytest.raises(ValueError, match=r"expected one or more finite lambdas, got \(.*\)$"):
+        CoverConfig(kind, lambdas)
+    config = default_cover(kind)  # the default lambdas pass, and the memo keeps its config
+    assert CoverConfig(kind, config.lambdas) == config and default_cover(kind) is config
 
 
 def test_classify_identity_margins():

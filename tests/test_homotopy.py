@@ -11,7 +11,7 @@ from lscat import linalg_core
 from lscat.cli import run
 from lscat.cover import classify, default_cover
 from lscat.errors import BranchViolation, MembershipDrift, NotInSpace, NotUnitary
-from lscat.homotopy import _lift, _spectrum, branch_log, contract
+from lscat.homotopy import _branch_angle, _lift, branch_log, contract
 from lscat.linalg_core import MEMBERSHIP_TOL, EigenDecomposition, eig_normal
 from lscat.spaces import (Family, SpaceKind, SpacePoint, is_member, point_to_json, sample,
                           sample_points)
@@ -78,9 +78,12 @@ def test_contract_source_is_the_first_sample():
 
 
 def test_branch_log_rejects_non_finite_alpha():
-    for alpha in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match="finite"):
+    for alpha in (np.nan, np.inf, -np.inf, True, "0.3", None):
+        with pytest.raises(ValueError, match="finite") as info:
             branch_log(np.eye(2), alpha)
+        assert str(info.value).endswith(f"got {alpha!r}")
+    with pytest.raises(ValueError, match="finite real number, got True"):
+        contract(sample(SpaceKind.ai(3), seed=1), True)
 
 
 def test_branch_log_matches_principal_log_shifted():
@@ -260,7 +263,7 @@ def _mixed(point, angle):
     The columns are those of the lowest and highest lifted angle at the
     witness; the mix breaks tP P = E.
     """
-    dec, alpha = _spectrum(point, None)
+    dec, alpha = eig_normal(point.matrix), _branch_angle(point, None)
     theta = _lift(dec, alpha)[0]
     i, j = np.argmin(theta), np.argmax(theta)
     c, s = np.cos(angle), 1j * np.sin(angle)

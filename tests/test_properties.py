@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from lscat.cover import _margins, classify, default_cover, multiplicity_audit
 from lscat.errors import ComponentObstruction
 from lscat.factorizations import factor_aii, factor_symmetric
-from lscat.homotopy import _lift, _spectrum, branch_log, contract
+from lscat.homotopy import _branch_angle, _lift, branch_log, contract
 from lscat.linalg_core import (
     _MIX_WEIGHT,
     CLUSTER_TOL,
@@ -206,7 +206,7 @@ def test_aii_component_is_the_parity_of_winding_plus_n(n):
     odd_seen = set()
     for point in points:
         assert is_member(kind, point.matrix).member
-        odd = (_lift(*_spectrum(point, None))[3] + n) % 2 == 1
+        odd = (_lift(eig_normal(point.matrix), _branch_angle(point, None))[3] + n) % 2 == 1
         if odd:
             with pytest.raises(ComponentObstruction):
                 factor_aii(point)
