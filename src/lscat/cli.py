@@ -12,6 +12,10 @@ command, so its usage errors print its usage; the full parser, whose
 subparsers take their arguments from the command parsers, parses any other
 argv (none, -h, a typo).  Each parser is built once per process: parsers
 keep no state, and argparse looks up sys.stdout and sys.stderr to print.
+
+The CLI only parses text; the library owns every value rule: counts, seeds
+and --alpha pass its checks, whose ValueError is the usage error's text, and
+the family choices are the values of Family and ClassicalFamily.
 """
 
 from __future__ import annotations
@@ -23,14 +27,12 @@ import math
 import sys
 from collections.abc import Iterator
 
-import numpy as np
-
 from .catbounds import ClassicalFamily, describe, render_table
 from .cover import classify, cover_audit, default_cover
 from .errors import LscatError
 from .factorizations import factor_aii, factor_symmetric
 from .homotopy import _branch_angle, _contraction, branch_log
-from .linalg_core import matrix_from_json, matrix_to_json
+from .linalg_core import _finite_angle, _int_at_least, matrix_from_json, matrix_to_json
 from .spaces import (
     Family,
     SpaceKind,
@@ -54,52 +56,31 @@ def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _int_at_least(low: int, text: str) -> int:
-    """argparse type, bound to low by functools.partial: an integer >= low (0 or 1)."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = low - 1
-    if value < low:
-        word = "positive" if low else "non-negative"
-        raise argparse.ArgumentTypeError(f"expected a {word} integer, got {text!r}")
-    return value
+def _checked(convert, rule, *args):
+    """argparse type: rule(*args, convert(text)), or rule(*args, text) when convert fails."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = text
+        try:
+            return rule(*args, value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-
-#: argparse types of --n, --count, --steps and --trials, and of --seed.
-_positive_int = functools.partial(_int_at_least, 1)
-_seed = functools.partial(_int_at_least, 0)
-
-
-def _finite_float(text: str) -> float:
-    """argparse type of --alpha: a finite number."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = np.nan
-    if not np.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
-
-
-def _is_float(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
+    return parse
 
 
 def _attach_alpha(argv: list[str]) -> list[str]:
-    """Rewrite `--alpha X` as `--alpha=X` when X parses as a float.
+    """Rewrite `--alpha X` as `--alpha=X` for any token X.
 
     argparse reads only plain negative decimals such as -1.5 as option
     values; without this, `--alpha -1e-3` fails as a missing argument.
-    _finite_float still validates the value.
+    The library's angle rule then checks X.
     """
     out = []
     for token in argv:
-        if out and out[-1] == "--alpha" and _is_float(token):
+        if out and out[-1] == "--alpha":
             out[-1] = f"--alpha={token}"
         else:
             out.append(token)
@@ -240,8 +221,9 @@ def _cmd_describe(parser, args) -> None:
 
 
 def _add_space(p) -> None:
-    p.add_argument("--space", choices=["ai", "aii"], help="family of bare-matrix input")
-    p.add_argument("--n", type=_positive_int,
+    p.add_argument("--space", choices=[f.value.lower() for f in Family],
+                   help="family of bare-matrix input")
+    p.add_argument("--n", type=_checked(int, _int_at_least, 1, "n"),
                    help=f"family parameter n; the matrix side (n for ai, 2n for aii) "
                    f"is at most {_MAX_SIDE}")
 
@@ -254,27 +236,29 @@ def _add_common(p) -> None:
 def _log_args(p) -> None:
     _add_common(p)
     branch = p.add_mutually_exclusive_group(required=True)
-    branch.add_argument("--alpha", type=_finite_float, help="branch angle in radians")
+    branch.add_argument("--alpha", type=_checked(float, _finite_angle),
+                        help="branch angle in radians")
     branch.add_argument("--alpha-from-cover", action="store_true")
 
 
 def _sample_args(p) -> None:
     _add_space(p)
-    p.add_argument("--count", type=_positive_int, default=1)
-    p.add_argument("--seed", type=_seed, required=True)
+    p.add_argument("--count", type=_checked(int, _int_at_least, 1, "count"), default=1)
+    p.add_argument("--seed", type=_checked(int, _int_at_least, 0, "seed"), required=True)
 
 
 def _contract_args(p) -> None:
     _log_args(p)
-    p.add_argument("--steps", type=_positive_int, default=16)
+    p.add_argument("--steps", type=_checked(int, _int_at_least, 1, "steps"), default=16)
 
 
 def _cover_args(p) -> None:
     _add_space(p)
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--input", help="path to NDJSON records, '-' for stdin")
-    mode.add_argument("--trials", type=_positive_int, help="run an audit with this many samples")
-    p.add_argument("--seed", type=_seed)
+    mode.add_argument("--trials", type=_checked(int, _int_at_least, 1, "trials"),
+                      help="run an audit with this many samples")
+    p.add_argument("--seed", type=_checked(int, _int_at_least, 0, "seed"))
 
 
 def _table_args(p) -> None:
@@ -282,8 +266,7 @@ def _table_args(p) -> None:
 
 
 def _describe_args(p) -> None:
-    p.add_argument("--family", required=True,
-                   choices=["ai", "aii", "aiii", "bdi", "bdii", "diii", "ci", "cii"])
+    p.add_argument("--family", required=True, choices=[f.value.lower() for f in ClassicalFamily])
     p.add_argument("--params", type=_int_tuple, required=True,
                    help="comma-separated integers, e.g. '2,1'")
 

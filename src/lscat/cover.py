@@ -47,7 +47,7 @@ from .spaces import Family, SpaceKind, SpacePoint, _member_stacks, is_member
 
 @dataclass(frozen=True)
 class CoverConfig:
-    """The avoided eigenvalues lambda_1, ..., lambda_n of a kind's cover: one or more, finite."""
+    """The avoided eigenvalues lambda_1, ..., lambda_n of a kind's cover, all unit-modulus."""
 
     kind: SpaceKind
     lambdas: tuple[complex, ...]
@@ -55,6 +55,10 @@ class CoverConfig:
     def __post_init__(self):
         if not self.lambdas or not np.isfinite(self.lambdas).all():
             raise ValueError(f"expected one or more finite lambdas, got {self.lambdas!r}")
+        if len(self.lambdas) != self.kind.n:
+            raise ValueError(f"expected n = {self.kind.n} lambdas, got {len(self.lambdas)}")
+        if np.max(np.abs(np.abs(self.lambdas) - 1.0)) > MEMBERSHIP_TOL:
+            raise ValueError(f"expected lambdas on the unit circle, got {self.lambdas!r}")
 
 
 @dataclass(frozen=True)

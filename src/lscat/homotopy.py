@@ -24,7 +24,6 @@ where a witness becomes a branch angle.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
@@ -33,7 +32,7 @@ import numpy as np
 from .cover import classify, default_cover
 from .errors import BranchViolation, MembershipDrift, NotInSpace
 from .linalg_core import (BRANCH_MARGIN, MEMBERSHIP_TOL, TWO_PI, EigenDecomposition,
-                          _positive_int, _spectral_product, eig_normal)
+                          _finite_angle, _positive_int, _spectral_product, eig_normal)
 from .spaces import (Family, MembershipReport, SpaceKind, SpacePoint, _membership, _path_point,
                      _swap_halves, is_member)
 
@@ -83,9 +82,7 @@ class HomotopyPath:
 
 def _lift(dec: EigenDecomposition, alpha: float) -> tuple[np.ndarray, float, float, int]:
     """(theta, alpha mod 2 pi, margin, winding) of dec, where X = P diag(e^{i theta}) P*."""
-    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not math.isfinite(alpha):
-        raise ValueError(f"branch angle must be a finite real number, got {alpha!r}")
-    alpha = float(np.mod(alpha, TWO_PI))
+    alpha = float(np.mod(_finite_angle(alpha), TWO_PI))
     rel = np.mod(np.angle(dec.eigenvalues) - alpha, TWO_PI)
     margin = float(np.min(np.minimum(rel, TWO_PI - rel)))
     if margin < BRANCH_MARGIN:

@@ -27,11 +27,14 @@ CLUSTER_TOL and BRANCH_MARGIN.  Residual thresholds are relative to the
 Frobenius norm of the input, falling back to absolute for zero input.  Every
 count the package takes (n, steps, trials, count) passes _positive_int, a
 ValueError naming the value unless an integer >= 1; a seed must be >= 0.
+A branch angle passes _finite_angle, a ValueError naming the value unless
+a finite real number; the CLI applies these same rules to what it parses.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -231,6 +234,13 @@ def _int_at_least(low: int, name: str, value) -> int:
 
 
 _positive_int = functools.partial(_int_at_least, 1)
+
+
+def _finite_angle(value):
+    """value unchanged; ValueError naming it unless a finite real number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"branch angle must be a finite real number, got {value!r}")
+    return value
 
 
 def _json_side(doc) -> int:

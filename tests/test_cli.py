@@ -14,7 +14,7 @@ from lscat import cli
 from lscat.cli import run
 from lscat.cover import classify, default_cover
 from lscat.homotopy import branch_log, contract
-from lscat.linalg_core import matrix_to_json
+from lscat.linalg_core import _finite_angle, _int_at_least, matrix_to_json
 from lscat.spaces import is_member, point_from_json
 
 GOLDEN = Path(__file__).parent / "data" / "table.csv"
@@ -289,20 +289,49 @@ def test_usage_errors_inside_a_command_print_its_usage(capsys):
         (["cover", "--space", "ai", "--n", "3", "--trials", "5"],
          "lscat cover: error: --seed is required for a cover audit"),
         (["sample", "--space", "ai", "--n", "x", "--seed", "1"],
-         "lscat sample: error: argument --n: expected a positive integer, got 'x'"),
+         "lscat sample: error: argument --n: n must be a positive integer, got 'x'"),
         (["sample", "--space", "ai", "--n", "3", "--seed", "1", "--count", "1.5"],
-         "lscat sample: error: argument --count: expected a positive integer, got '1.5'"),
+         "lscat sample: error: argument --count: count must be a positive integer, got '1.5'"),
         (["log", "--input", "missing.ndjson", "--alpha", "abc"],
-         "lscat log: error: argument --alpha: expected a finite number, got 'abc'"),
+         "lscat log: error: argument --alpha: "
+         "branch angle must be a finite real number, got 'abc'"),
         (["contract", "--input", os.devnull],
          "lscat contract: error: one of the arguments --alpha --alpha-from-cover is required"),
         (["sample", "--space", "ai", "--n", "2", "--seed", "-1"],
-         "lscat sample: error: argument --seed: expected a non-negative integer, got '-1'"),
+         "lscat sample: error: argument --seed: seed must be a non-negative integer, got -1"),
     ):
         code, out, err = invoke(capsys, argv)
         assert code == 2 and out == ""
         assert err.startswith(f"usage: lscat {argv[0]} [-h] ")
         assert err.endswith(message + "\n")
+
+
+@pytest.mark.parametrize("argv, option, rule", [
+    (["sample", "--space", "ai", "--n", "0", "--seed", "1"], "n", lambda: _int_at_least(1, "n", 0)),
+    (["sample", "--space", "ai", "--n", "x", "--seed", "1"],
+     "n", lambda: _int_at_least(1, "n", "x")),
+    (["sample", "--space", "ai", "--n", "3", "--seed", "1", "--count", "1.5"],
+     "count", lambda: _int_at_least(1, "count", "1.5")),
+    (["contract", "--input", "missing.ndjson", "--alpha", "1", "--steps", "-2"],
+     "steps", lambda: _int_at_least(1, "steps", -2)),
+    (["cover", "--space", "ai", "--n", "3", "--seed", "1", "--trials", "0"],
+     "trials", lambda: _int_at_least(1, "trials", 0)),
+    (["sample", "--space", "ai", "--n", "2", "--seed", "-1"],
+     "seed", lambda: _int_at_least(0, "seed", -1)),
+    (["log", "--input", "missing.ndjson", "--alpha", "abc"], "alpha", lambda: _finite_angle("abc")),
+    (["log", "--input", "missing.ndjson", "--alpha", "inf"],
+     "alpha", lambda: _finite_angle(np.inf)),
+    (["contract", "--input", "missing.ndjson", "--alpha", "nan"],
+     "alpha", lambda: _finite_angle(np.nan)),
+], ids=["n_0", "n_x", "count_1.5", "steps_-2", "trials_0", "seed_-1",
+        "alpha_abc", "alpha_inf", "alpha_nan"])
+def test_usage_errors_carry_the_library_rule_text(capsys, argv, option, rule):
+    # the CLI converts the text and applies the library's rule; its ValueError is the message
+    with pytest.raises(ValueError) as rule_error:
+        rule()
+    code, out, err = invoke(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.endswith(f"argument --{option}: {rule_error.value}\n")
 
 
 def test_run_builds_only_the_parser_it_runs(capsys, monkeypatch):

@@ -74,11 +74,17 @@ def test_default_cover_is_memoized_per_kind(family, n):
                                    for r in range(1, n + 1))
 
 
-@pytest.mark.parametrize("lambdas", [(), (np.nan,), (1j, complex(np.inf, 0.0))],
-                         ids=["empty", "nan", "inf"])
-def test_cover_config_rejects_no_lambdas_and_non_finite_ones(lambdas):
+@pytest.mark.parametrize("lambdas, message", [
+    ((), r"expected one or more finite lambdas, got \(\)$"),
+    ((np.nan,), r"expected one or more finite lambdas, got \(nan,\)$"),
+    ((1j, complex(np.inf, 0.0)), r"expected one or more finite lambdas, got \(1j, \(inf\+0j\)\)$"),
+    ((0j,), r"expected n = 2 lambdas, got 1$"),
+    ((2 + 0j, 1j, -1j), r"expected n = 2 lambdas, got 3$"),
+    ((1j, 2 + 0j), r"expected lambdas on the unit circle, got \(1j, \(2\+0j\)\)$"),
+], ids=["empty", "nan", "inf", "one_at_zero", "three", "off_circle"])
+def test_cover_config_rejects_no_lambdas_and_non_finite_ones(lambdas, message):
     kind = SpaceKind.ai(2)
-    with pytest.raises(ValueError, match=r"expected one or more finite lambdas, got \(.*\)$"):
+    with pytest.raises(ValueError, match=message):
         CoverConfig(kind, lambdas)
     config = default_cover(kind)  # the default lambdas pass, and the memo keeps its config
     assert CoverConfig(kind, config.lambdas) == config and default_cover(kind) is config
