@@ -10,11 +10,13 @@ Three rules produce every bound in the table:
 * kahler_cat: a simply connected complex d-manifold carrying a Kahler
   metric has category exactly d.
 
-describe() assembles one row of the table for concrete parameters,
-recomputing the bounds from these rules wherever the source cohomology is
-on record.  A row's category is exact where its lower bound meets its upper
-bound, and None where both are unknown.  render_table() emits the symbolic
-eight-family table.
+describe() assembles one row of the table for concrete parameters.  Each
+family's branch states only the row's data: its side conditions, then its
+dimension or cohomology spec, Kahler flag, connectivity and cover bound.
+The three rules then run once.  A spec's top degree, the degree of the
+product of all its generators (mod 2 for AI), is the row's dimension.  A
+row's category is exact where its lower bound meets its upper bound, and
+None where both are unknown.  render_table() emits the symbolic table.
 Everything in this module is exact integer arithmetic.
 """
 
@@ -47,7 +49,7 @@ class KahlerFlag(str, Enum):
 
 @dataclass(frozen=True)
 class GradedAlgebraSpec:
-    """Exterior algebra on generators of the given positive degrees.
+    """Exterior algebra on generators of the given positive integer degrees.
 
     generators is a tuple, or a range for the arithmetic degrees of the
     matrix families: its count and its check then cost O(1) for any n.
@@ -61,8 +63,8 @@ class GradedAlgebraSpec:
         degrees = self.generators
         if isinstance(degrees, range) and degrees:
             degrees = (degrees[0], degrees[-1])  # a range is monotone
-        if any(d < 1 for d in degrees):
-            raise ValueError("generator degrees must be positive")
+        if any(isinstance(d, bool) or not hasattr(d, "__index__") or d < 1 for d in degrees):
+            raise ValueError("generator degrees must be positive integers")
 
 
 @dataclass(frozen=True)
@@ -98,39 +100,30 @@ def cup_length(spec: GradedAlgebraSpec) -> int:
 
 def ganea_upper(dimension: int, connectivity_r: int) -> int:
     """Category upper bound floor(dimension / r) for an (r-1)-connected space."""
+    connectivity_r = _integer(connectivity_r)
     if connectivity_r < 1:
         raise InvalidConnectivity("connectivity parameter r must be at least 1")
-    if dimension < 0:
-        raise InvalidParams("dimension must be nonnegative")
-    return dimension // connectivity_r
+    return _at_least(0, dimension, "dimension must be nonnegative") // connectivity_r
 
 
 def kahler_cat(complex_dimension: int) -> int:
     """Exact category of a simply connected Kahler manifold: its complex dimension."""
-    if complex_dimension < 0:
-        raise InvalidParams("complex dimension must be nonnegative")
-    return complex_dimension
+    return _at_least(0, complex_dimension, "complex dimension must be nonnegative")
 
 
 def cover_upper_bound(n_sets: int) -> int:
     """Category bound from a cover by n contractible open sets: n - 1."""
-    if n_sets < 1:
-        raise InvalidParams("a cover needs at least one set")
-    return n_sets - 1
+    return _at_least(1, n_sets, "a cover needs at least one set") - 1
 
 
 def ai_cohomology_generators(n: int) -> GradedAlgebraSpec:
     """Mod-2 cohomology of the symmetric family: exterior on degrees 2..n."""
-    if n < 1:
-        raise InvalidParams("n must be positive")
-    return GradedAlgebraSpec(range(2, n + 1))
+    return GradedAlgebraSpec(range(2, _at_least(1, n, "n must be positive") + 1))
 
 
 def aii_cohomology_generators(n: int) -> GradedAlgebraSpec:
     """Integral cohomology of the twisted family: exterior on degrees 5, 9, ..., 4n-3."""
-    if n < 1:
-        raise InvalidParams("n must be positive")
-    return GradedAlgebraSpec(range(5, 4 * n - 2, 4))
+    return GradedAlgebraSpec(range(5, 4 * _at_least(1, n, "n must be positive") - 2, 4))
 
 
 def _require(condition: bool, message: str) -> None:
@@ -140,9 +133,17 @@ def _require(condition: bool, message: str) -> None:
 
 def _integer(value) -> int:
     try:
-        return operator.index(value)
+        if not isinstance(value, bool):
+            return operator.index(value)
     except TypeError:
-        raise InvalidParams(f"parameters must be integers, got {value!r}") from None
+        pass
+    raise InvalidParams(f"parameters must be integers, got {value!r}")
+
+
+def _at_least(least: int, value, message: str) -> int:
+    value = _integer(value)
+    _require(value >= least, message)
+    return value
 
 
 def _params_tuple(family: ClassicalFamily, params) -> tuple[int, ...]:
@@ -158,68 +159,65 @@ def _params_tuple(family: ClassicalFamily, params) -> tuple[int, ...]:
 
 
 def describe(family: ClassicalFamily | str, params) -> SpaceDescriptor:
-    """Fill one table row for concrete parameters, recomputing the bounds.
+    """Fill one table row for concrete parameters from the three rules.
 
-    Raises InvalidParams naming the violated side condition.  The category
-    is exact where the lower bound meets the upper bound; cat fields are
-    None exactly where the classification is an open problem.
+    Each branch states only the row's data, and the rules run once after
+    them, as the module docstring says.  Raises InvalidParams naming the
+    violated side condition.  The category is exact where the lower bound
+    meets the upper bound; cat fields are None exactly where the
+    classification is an open problem.
     """
     family = ClassicalFamily(family)
     params = _params_tuple(family, params)
-    kahler, connectivity = KahlerFlag.NO, None
+    kahler, connectivity, spec, lower, upper = KahlerFlag.NO, None, None, None, None
 
     if family is ClassicalFamily.AI:
         (n,) = params
         _require(n > 2, "AI requires n > 2")
-        dimension = (n - 1) * (n + 2) // 2
-        lower, upper = cup_length(ai_cohomology_generators(n)), cover_upper_bound(n)
+        spec, upper = ai_cohomology_generators(n), cover_upper_bound(n)
     elif family is ClassicalFamily.AII:
         (n,) = params
         _require(n > 1, "AII requires n > 1")
-        dimension = (n - 1) * (2 * n + 1)
-        lower, upper = cup_length(aii_cohomology_generators(n)), cover_upper_bound(n)
+        spec, upper = aii_cohomology_generators(n), cover_upper_bound(n)
     elif family is ClassicalFamily.AIII:
         p, q = params
         _require(p >= q >= 1, "AIII requires p >= q >= 1")
         dimension, kahler = 2 * p * q, KahlerFlag.YES
-        lower = upper = kahler_cat(p * q)
     elif family is ClassicalFamily.BDI:
         p, q = params
         _require(p >= q >= 2, "BDI requires p >= q >= 2")
         _require(p + q != 4, "BDI requires p + q != 4")
-        dimension, lower, upper = p * q, None, None
-        if q == 2:
-            kahler = KahlerFlag.YES
-            lower = upper = kahler_cat(p)
+        dimension, kahler = p * q, KahlerFlag.YES if q == 2 else KahlerFlag.NO
     elif family is ClassicalFamily.BDII:
         (n,) = params
         _require(n >= 2, "BDII requires n >= 2")
-        dimension = connectivity = n
+        spec, connectivity = GradedAlgebraSpec((n,)), n
         kahler = KahlerFlag.YES if n == 2 else KahlerFlag.NO
-        lower, upper = cup_length(GradedAlgebraSpec((n,))), ganea_upper(n, n)
     elif family is ClassicalFamily.DIII:
         (l,) = params
         _require(l >= 4, "DIII requires l >= 4")
         dimension, kahler = l * (l - 1), KahlerFlag.YES
-        lower = upper = kahler_cat(l * (l - 1) // 2)
     elif family is ClassicalFamily.CI:
         (n,) = params
         _require(n >= 3, "CI requires n >= 3")
         dimension, kahler = n * (n + 1), KahlerFlag.YES
-        lower = upper = kahler_cat(n * (n + 1) // 2)
     else:
         # CII: the cohomology ring matches the complex Grassmannian's, so the
         # cup-length lower bound equals that Kahler space's category; the
         # upper bound is the dimension bound with 3-connectedness.
         p, q = params
         _require(p >= q >= 1, "CII requires p >= q >= 1")
-        dimension, connectivity = 4 * p * q, 4
-        lower, upper = kahler_cat(p * q), ganea_upper(dimension, connectivity)
+        dimension, connectivity, lower = 4 * p * q, 4, kahler_cat(p * q)
 
+    if spec is not None:  # the degrees are arithmetic: count x (first + last) / 2 is their sum
+        lower, degrees = cup_length(spec), spec.generators
+        dimension = lower * (degrees[0] + degrees[-1]) // 2
+    if connectivity is not None:
+        upper = ganea_upper(dimension, connectivity)
+    if kahler is KahlerFlag.YES:
+        lower = upper = kahler_cat(dimension // 2)
     cat_exact = lower if lower == upper else None
-    return SpaceDescriptor(
-        family, params, dimension, kahler, connectivity, lower, upper, cat_exact
-    )
+    return SpaceDescriptor(family, params, dimension, kahler, connectivity, lower, upper, cat_exact)
 
 
 _TABLE_COLUMNS = ("family", "space", "kahler", "dimension", "cat")

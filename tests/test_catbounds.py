@@ -5,8 +5,10 @@ import json
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from lscat import SpaceKind, sample, structural_J
 from lscat.catbounds import (
     ClassicalFamily,
     GradedAlgebraSpec,
@@ -64,10 +66,16 @@ def test_graded_algebra_spec_validation():
     for degrees in (range(0, 3), range(3, -1, -1), range(5, -4, -4)):
         with pytest.raises(ValueError):
             GradedAlgebraSpec(degrees)
+    for degrees in ((True, 2.5), (2, 2.0), (False,)):
+        with pytest.raises(ValueError):
+            GradedAlgebraSpec(degrees)
     assert cup_length(GradedAlgebraSpec(range(5, 1))) == 0
+    assert cup_length(GradedAlgebraSpec((np.int64(2), 3))) == 2
     for generators in (ai_cohomology_generators, aii_cohomology_generators):
-        with pytest.raises(InvalidParams):
-            generators(0)
+        for n in (0, 3.5, True):
+            with pytest.raises(InvalidParams):
+                generators(n)
+        assert tuple(generators(np.int64(3)).generators) == tuple(generators(3).generators)
 
 
 def test_ganea_upper():
@@ -79,20 +87,28 @@ def test_ganea_upper():
         ganea_upper(4, 0)
     with pytest.raises(InvalidParams):
         ganea_upper(-1, 1)
+    for args in ((4, 1.5), (4.0, 2), (True, 1)):
+        with pytest.raises(InvalidParams):
+            ganea_upper(*args)
+    assert ganea_upper(np.int64(8), np.int32(4)) == 2
 
 
 def test_kahler_cat():
     assert kahler_cat(6) == 6
     assert kahler_cat(0) == 0
-    with pytest.raises(InvalidParams):
-        kahler_cat(-1)
+    for complex_dimension in (-1, 2.5, True):
+        with pytest.raises(InvalidParams):
+            kahler_cat(complex_dimension)
+    assert kahler_cat(np.int64(6)) == 6
 
 
 def test_cover_upper_bound():
     assert cover_upper_bound(1) == 0
     assert cover_upper_bound(5) == 4
-    with pytest.raises(InvalidParams):
-        cover_upper_bound(0)
+    for n_sets in (0, 2.5, True):
+        with pytest.raises(InvalidParams):
+            cover_upper_bound(n_sets)
+    assert cover_upper_bound(np.int64(5)) == 4
 
 
 def test_describe_ai_row():
@@ -122,6 +138,7 @@ def test_describe_cost_does_not_grow_with_n():
         for family in (ClassicalFamily.AI, ClassicalFamily.AII):
             d = describe(family, n)
             assert d.cat_lower == d.cat_exact == n - 1
+            assert d.dimension == hardcoded_row(family, (n,))[0]
     assert time.perf_counter() - start < 1.0
 
 
@@ -134,6 +151,8 @@ def test_describe_kahler_rows():
     assert d.dimension == 12 and d.cat_exact == 6
     d = describe(ClassicalFamily.BDI, (4, 2))
     assert d.dimension == 8 and d.cat_exact == 4 and d.kahler is KahlerFlag.YES
+    with pytest.raises(InvalidParams, match="got True$"):
+        describe(ClassicalFamily.AIII, (True, True))
 
 
 def test_describe_bdi_open_problem():
@@ -167,7 +186,8 @@ def test_describe_cii_row():
 
 @pytest.mark.parametrize(
     "params, shown",
-    [((3.7,), "3.7"), (("5",), "'5'"), (3.7, "3.7"), ("5", "'5'"), (None, "None")],
+    [((3.7,), "3.7"), (("5",), "'5'"), (3.7, "3.7"), ("5", "'5'"), (None, "None"),
+     (True, "True"), ((3, False), "False")],
 )
 def test_describe_rejects_non_integer_params(params, shown):
     with pytest.raises(InvalidParams, match=f"got {shown}$"):
@@ -242,6 +262,48 @@ def test_sandwich_consistency_against_hardcoded_table():
             assert d.cat_lower == d.cat_exact == d.cat_upper, (family, params)
         else:
             assert d.cat_lower is None and d.cat_upper is None
+
+
+def _su_basis(m):
+    """A real basis of su(m), the traceless skew-Hermitian m x m matrices."""
+    basis = []
+    for i, j in itertools.combinations(range(m), 2):
+        for z in (1, 1j):
+            A = np.zeros((m, m), dtype=complex)
+            A[i, j], A[j, i] = z, -np.conj(z)
+            basis.append(A)
+    for k in range(m - 1):
+        A = np.zeros((m, m), dtype=complex)
+        A[k, k], A[k + 1, k + 1] = 1j, -1j
+        basis.append(A)
+    return basis
+
+
+def test_model_tangent_dimension_is_the_table_dimension():
+    """The kernel of the linearized symmetry law at a sampled point is the top degree.
+
+    A curve X exp(sA), A in su(m), stays in the space to first order exactly
+    when t(XA) = XA (AI) or t(XA) = J XA tJ (AII), so that kernel is the
+    space's tangent space.  The top degree of the cohomology spec, the sum of
+    its generator degrees, must equal its real dimension, and so must
+    describe's dimension wherever the table has a row.
+    """
+    kinds = [SpaceKind.ai(n) for n in range(2, 7)] + [SpaceKind.aii(n) for n in range(1, 7)]
+    for kind in kinds:
+        family, n = ClassicalFamily(kind.family.value), kind.n
+        X = sample(kind, seed=n).matrix
+        if family is ClassicalFamily.AI:
+            spec, has_row = ai_cohomology_generators(n), n >= 3
+            images = [(X @ A).T - X @ A for A in _su_basis(n)]
+        else:
+            spec, has_row, J = aii_cohomology_generators(n), n >= 2, structural_J(n)
+            images = [(X @ A).T - J @ X @ A @ J.T for A in _su_basis(2 * n)]
+        L = np.array([np.concatenate([Y.real.ravel(), Y.imag.ravel()]) for Y in images]).T
+        s = np.linalg.svd(L, compute_uv=False)
+        kernel = len(images) - int(np.count_nonzero(s > 1e-9 * s[0]))
+        assert kernel == sum(spec.generators), kind
+        if has_row:
+            assert kernel == describe(family, n).dimension, kind
 
 
 def test_theorem_rows_for_matrix_families():
