@@ -206,6 +206,8 @@ def _cmd_cover(parser, args) -> None:
         _emit(report)
         _note(f"cover audit: fraction {report['covered_fraction']}")
         return
+    if args.seed is not None:
+        parser.error("--seed applies only to a cover audit")
     for point in _points_from_input(parser, args):
         cls = classify(default_cover(point.kind), point)
         _emit(vars(cls))

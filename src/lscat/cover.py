@@ -1,16 +1,16 @@
 """Eigenvalue-avoidance covers of the two families.
 
 The cover for parameter n consists of the n open sets
-A_r = { members X : lambda_r is not an eigenvalue of X } for unit-modulus
-lambda_1, ..., lambda_n.  The default choice lambda_r = e^{i pi/(2n)}
-e^{2 pi i r/n} keeps the lambdas equally spaced and certifies both
-non-unit-product conditions at once: the plain product is +-i (symmetric
-family) and the squared product is -1 (twisted family), so no member can
-have all the lambdas as eigenvalues and the A_r cover the space.  The
-same products give a floor: every member keeps some lambda_r at least
-pi/(2n) from its spectrum, so the witness's branch logarithm cannot meet
-BRANCH_MARGIN while pi/(2n) > BRANCH_MARGIN.  The audit reports that floor
-as margin_floor and gates every sampled witness margin against it.
+A_r = { members X : lambda_r is not an eigenvalue of X }, where
+lambda_r = e^{i pi/(2n)} e^{2 pi i r/n}, r = 1..n; a kind fixes its cover.
+The lambdas are equally spaced and certify both non-unit-product
+conditions at once: the plain product is +-i (symmetric family) and the
+squared product is -1 (twisted family), so no member can have all the
+lambdas as eigenvalues and the A_r cover the space.  The same products
+give a floor: every member keeps some lambda_r at least pi/(2n) from its
+spectrum, so the witness's branch logarithm cannot meet BRANCH_MARGIN
+while pi/(2n) > BRANCH_MARGIN.  The audit reports that floor as
+margin_floor and gates every sampled witness margin against it.
 
 Classification needs only the eigenvalue angles of a point.  One function
 of the angles gives the margins of a whole stack of spectra, and the audit
@@ -28,7 +28,7 @@ returns the same config.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,18 +47,18 @@ from .spaces import Family, SpaceKind, SpacePoint, _member_stacks, is_member
 
 @dataclass(frozen=True)
 class CoverConfig:
-    """The avoided eigenvalues lambda_1, ..., lambda_n of a kind's cover, all unit-modulus."""
+    """The cover of kind, with its avoided eigenvalues lambda_1, ..., lambda_n."""
 
     kind: SpaceKind
-    lambdas: tuple[complex, ...]
+    lambdas: tuple[complex, ...] = field(init=False)
 
     def __post_init__(self):
-        if not self.lambdas or not np.isfinite(self.lambdas).all():
-            raise ValueError(f"expected one or more finite lambdas, got {self.lambdas!r}")
-        if len(self.lambdas) != self.kind.n:
-            raise ValueError(f"expected n = {self.kind.n} lambdas, got {len(self.lambdas)}")
-        if np.max(np.abs(np.abs(self.lambdas) - 1.0)) > MEMBERSHIP_TOL:
-            raise ValueError(f"expected lambdas on the unit circle, got {self.lambdas!r}")
+        n = self.kind.n
+        lambdas = tuple(
+            complex(np.exp(1j * (np.pi / (2 * n) + 2 * np.pi * r / n)))
+            for r in range(1, n + 1)
+        )
+        object.__setattr__(self, "lambdas", lambdas)
 
 
 @dataclass(frozen=True)
@@ -81,13 +81,8 @@ class CoverAuditReport:
 
 @functools.lru_cache(maxsize=16)
 def default_cover(kind: SpaceKind) -> CoverConfig:
-    """The standard cover lambda_r = e^{i pi/(2n)} e^{2 pi i r/n}, r = 1..n."""
-    n = kind.n
-    lambdas = tuple(
-        complex(np.exp(1j * (np.pi / (2 * n) + 2 * np.pi * r / n)))
-        for r in range(1, n + 1)
-    )
-    return CoverConfig(kind=kind, lambdas=lambdas)
+    """The cover of kind, one shared config per kind."""
+    return CoverConfig(kind)
 
 
 def classify(config: CoverConfig, point: SpacePoint) -> CoverClassification:

@@ -288,6 +288,8 @@ def test_usage_errors_inside_a_command_print_its_usage(capsys):
          "lscat cover: error: argument --trials: not allowed with argument --input"),
         (["cover", "--space", "ai", "--n", "3", "--trials", "5"],
          "lscat cover: error: --seed is required for a cover audit"),
+        (["cover", "--space", "ai", "--n", "3", "--input", "-", "--seed", "5"],
+         "lscat cover: error: --seed applies only to a cover audit"),
         (["sample", "--space", "ai", "--n", "x", "--seed", "1"],
          "lscat sample: error: argument --n: n must be a positive integer, got 'x'"),
         (["sample", "--space", "ai", "--n", "3", "--seed", "1", "--count", "1.5"],

@@ -74,20 +74,19 @@ def test_default_cover_is_memoized_per_kind(family, n):
                                    for r in range(1, n + 1))
 
 
-@pytest.mark.parametrize("lambdas, message", [
-    ((), r"expected one or more finite lambdas, got \(\)$"),
-    ((np.nan,), r"expected one or more finite lambdas, got \(nan,\)$"),
-    ((1j, complex(np.inf, 0.0)), r"expected one or more finite lambdas, got \(1j, \(inf\+0j\)\)$"),
-    ((0j,), r"expected n = 2 lambdas, got 1$"),
-    ((2 + 0j, 1j, -1j), r"expected n = 2 lambdas, got 3$"),
-    ((1j, 2 + 0j), r"expected lambdas on the unit circle, got \(1j, \(2\+0j\)\)$"),
-], ids=["empty", "nan", "inf", "one_at_zero", "three", "off_circle"])
-def test_cover_config_rejects_no_lambdas_and_non_finite_ones(lambdas, message):
-    kind = SpaceKind.ai(2)
-    with pytest.raises(ValueError, match=message):
-        CoverConfig(kind, lambdas)
-    config = default_cover(kind)  # the default lambdas pass, and the memo keeps its config
-    assert CoverConfig(kind, config.lambdas) == config and default_cover(kind) is config
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+@pytest.mark.parametrize("family", list(Family))
+def test_cover_config_is_fixed_by_its_kind(family, n):
+    kind = SpaceKind(family, n)
+    config = default_cover(kind)
+    with pytest.raises(TypeError):
+        CoverConfig(kind, config.lambdas)  # lambdas are not an argument
+    with pytest.raises(TypeError):
+        CoverConfig(kind=kind, lambdas=config.lambdas)
+    built = CoverConfig(kind)
+    assert built == config and built.kind == kind
+    assert np.array(built.lambdas).tobytes() == np.array(config.lambdas).tobytes()
+    assert default_cover(kind) is config  # the memo still keeps one config per kind
 
 
 def test_classify_identity_margins():

@@ -216,6 +216,21 @@ def test_aii_component_is_the_parity_of_winding_plus_n(n):
     assert odd_seen == {False, True}
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
+@pytest.mark.parametrize("family", list(Family))
+def test_first_leg_keeps_the_source_margin(family, n):
+    # the lifted angles theta_i sum to 2 pi k, so the target angle 2 pi k / m is
+    # their mean and every sample's angles (1 - s) theta_i + s 2 pi k / m lie in
+    # [min theta, max theta]: each sample is at least the source's margin from
+    # e^{i alpha}, so each component of A_r contracts inside A_r
+    kind = SpaceKind(family, n)
+    for point in sample_points(kind, 40, seed=600 + n):
+        path = contract(point, steps=8)
+        margins = [np.min(angular_distance(np.angle(np.linalg.eigvals(smp.point.matrix)),
+                                           path.alpha)) for smp in path.samples]
+        assert min(margins[1:]) >= margins[0] - 1e-12  # margins[0] is the source's
+
+
 @settings(max_examples=3, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, 2**32 - 1), _phases(256))
 def test_factor_round_trip_and_margin_floor_at_m_256(seed, phases):
