@@ -28,7 +28,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import InvalidConnectivity, InvalidParams
+from .errors import InvalidParams
 
 
 class ClassicalFamily(str, Enum):
@@ -100,9 +100,7 @@ def cup_length(spec: GradedAlgebraSpec) -> int:
 
 def ganea_upper(dimension: int, connectivity_r: int) -> int:
     """Category upper bound floor(dimension / r) for an (r-1)-connected space."""
-    connectivity_r = _integer(connectivity_r)
-    if connectivity_r < 1:
-        raise InvalidConnectivity("connectivity parameter r must be at least 1")
+    connectivity_r = _at_least(1, connectivity_r, "connectivity parameter r must be at least 1")
     return _at_least(0, dimension, "dimension must be nonnegative") // connectivity_r
 
 

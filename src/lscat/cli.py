@@ -13,9 +13,9 @@ subparsers take their arguments from the command parsers, parses any other
 argv (none, -h, a typo).  Each parser is built once per process: parsers
 keep no state, and argparse looks up sys.stdout and sys.stderr to print.
 
-The CLI only parses text; the library owns every value rule: counts, seeds
-and --alpha pass its checks, whose ValueError is the usage error's text, and
-the family choices are the values of Family and ClassicalFamily.
+The CLI parses text and keeps one value rule, the side ceiling _MAX_SIDE; the library
+owns the rest: counts, seeds and --alpha pass its checks, whose ValueError is the
+usage error's text, and the family choices are the values of Family and ClassicalFamily.
 """
 
 from __future__ import annotations

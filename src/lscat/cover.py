@@ -18,11 +18,11 @@ draws, solves and classifies its samples as (c, m, m) stacks of at most
 2^16 complex entries per array, so its memory does not grow with the
 number of trials.  The eigensolver forms the spectra of a whole stack in
 one solve and gates each matrix as near-unitary, raising NotUnitary.
-classify and multiplicity_audit read eig_normal's sorted spectrum; a
-margin is a minimum over the spectrum, so the sort changes none, and a
-cluster's mean is summed in sorted-angle order.  default_cover is
-memoized: a kind's lambdas are formed once, and every call for that kind
-returns the same config.
+classify and multiplicity_audit read eig_normal's sorted spectrum; a margin
+is a minimum over the spectrum, so the sort changes none, and the audit
+splits clusters along that order, with no second sort, summing each
+cluster's mean in it.  default_cover is memoized: a kind's lambdas are
+formed once, and every call for that kind returns the same config.
 """
 
 from __future__ import annotations
@@ -35,11 +35,12 @@ import numpy as np
 from .errors import DimensionMismatch, NoConvergence, NotInSpace, OddMultiplicity
 from .linalg_core import (
     BRANCH_MARGIN,
+    CLUSTER_TOL,
     MEMBERSHIP_TOL,
+    TWO_PI,
     _eig_stack,
     _positive_int,
     angular_distance,
-    cluster_angles,
     eig_normal,
 )
 from .spaces import Family, SpaceKind, SpacePoint, _member_stacks, is_member
@@ -116,10 +117,10 @@ def multiplicity_audit(point: SpacePoint) -> list[tuple[complex, int]]:
 
     Every eigenvalue of an AII member has even multiplicity (conjugating an
     eigenvector by J yields an independent one).  A cluster is a
-    single-linkage group of angles at radius CLUSTER_TOL, reported as the
-    normalized mean of its eigenvalues in sorted-angle order and its size;
-    chained distinct eigenvalues form one.  Every
-    cluster is even exactly when one neighbour matching of the sorted
+    single-linkage group of angles at radius CLUSTER_TOL, linked across the
+    cut at pi, reported as the normalized mean of its eigenvalues in
+    sorted-angle order and its size; chained distinct eigenvalues form one.
+    Every cluster is even exactly when one neighbour matching of the sorted
     angles, (0, 1), (2, 3), ... or (1, 2), ..., (2n - 1, 0), pairs each
     within CLUSTER_TOL; OddMultiplicity is raised otherwise.
     """
@@ -131,12 +132,15 @@ def multiplicity_audit(point: SpacePoint) -> list[tuple[complex, int]]:
             f"input fails the membership laws (max residual {report.max_residual:.3e})"
         )
     eig = eig_normal(point.matrix).eigenvalues
-    angles = np.angle(eig)
+    angles = np.angle(eig)  # ascending: eig_normal's order
+    clusters = np.split(eig, np.nonzero(np.diff(angles) > CLUSTER_TOL)[0] + 1)
+    if len(clusters) > 1 and TWO_PI - (angles[-1] - angles[0]) <= CLUSTER_TOL:
+        clusters[0] = np.concatenate([clusters.pop(), clusters[0]])  # linked across the cut
     out = []
-    for cluster in cluster_angles(angles):
+    for cluster in clusters:
         if len(cluster) % 2:
             raise OddMultiplicity(f"eigenvalue cluster of odd size {len(cluster)} found")
-        rep = complex(np.mean(eig[cluster]))
+        rep = complex(np.mean(cluster))
         rep /= abs(rep)
         out.append((rep, int(len(cluster))))
     return out

@@ -11,7 +11,8 @@ class LscatError(Exception):
 
 
 class DimensionMismatch(LscatError):
-    """Matrix sides do not match the declared space or each other."""
+    """Matrix sides do not match the declared space or each other, or a point of
+    matching side has the wrong kind (classify, multiplicity_audit, factor_aii)."""
 
 
 class NoConvergence(LscatError):
@@ -49,10 +50,6 @@ class MembershipDrift(LscatError):
 
 class OddMultiplicity(LscatError):
     """An eigenvalue cluster of a twisted-family member has odd size."""
-
-
-class InvalidConnectivity(LscatError):
-    """Connectivity parameter of the dimension bound must be at least 1."""
 
 
 class InvalidParams(LscatError):

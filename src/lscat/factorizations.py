@@ -43,7 +43,7 @@ import numpy as np
 from .errors import ComponentObstruction, DimensionMismatch, NoConvergence, NotInSpace
 from .linalg_core import (MEMBERSHIP_TOL, TWO_PI, _spectral_product, _widest_gap_cut, as_matrix,
                           eig_normal)
-from .spaces import Family, SpaceKind, SpacePoint, _membership, _swap_halves, is_member
+from .spaces import Family, SpaceKind, SpacePoint, _membership, _swap_halves
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,7 @@ def _principal_root(X) -> tuple[np.ndarray, complex]:
 def factor_symmetric(X) -> FactorizationResult:
     """Factor a symmetric special unitary X as P tP with P in SU(n)."""
     X = as_matrix(X)
-    n = X.shape[0]
-    report = is_member(SpaceKind.ai(n), X)
+    report = _membership(SpaceKind.ai(len(X)), X)
     if not report.member:
         raise NotInSpace(
             "input is not a symmetric special unitary matrix "

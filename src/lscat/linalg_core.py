@@ -94,24 +94,6 @@ def angular_distance(a, b):
     return np.abs(np.mod(np.asarray(a) - b + np.pi, TWO_PI) - np.pi)
 
 
-def cluster_angles(angles) -> list[np.ndarray]:
-    """Single-linkage clusters of angles on the circle, linking gaps <= CLUSTER_TOL.
-
-    Returns index arrays into the input; the wrap-around gap links the first
-    and last sorted groups.  Cluster order follows the sorted angles.
-    """
-    angles = np.asarray(angles, dtype=float)
-    if angles.size == 0:
-        return []
-    order = np.argsort(angles, kind="stable")
-    sorted_angles = angles[order]
-    gaps = np.diff(sorted_angles)
-    pieces = np.split(order, np.nonzero(gaps > CLUSTER_TOL)[0] + 1)
-    if len(pieces) > 1 and TWO_PI - (sorted_angles[-1] - sorted_angles[0]) <= CLUSTER_TOL:
-        pieces[0] = np.concatenate([pieces.pop(), pieces[0]])
-    return pieces
-
-
 def _eig_stack(X) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvectors and eigenvalues of each matrix of a (T, m, m) unitary stack.
 

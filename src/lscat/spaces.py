@@ -18,7 +18,7 @@ and the AII twin J X tJ is two such swaps.
 
 Membership is one formula, _membership: the norms of X X* - E and of the
 symmetry defect tX - twin, and |det X - 1|.  is_member, the contraction's
-measured samples and factor_skew's check of X tJ all call it.
+measured samples and both factorizations' input checks all call it.
 
 Sampling is stacked: one draw forms a (c, m, m) array of points with
 stacked QR, determinant, phase and products, at most 2^16 complex entries

@@ -23,7 +23,7 @@ from lscat.catbounds import (
     render_table,
     table_rows,
 )
-from lscat.errors import InvalidConnectivity, InvalidParams
+from lscat.errors import InvalidParams
 
 GOLDEN = Path(__file__).parent / "data" / "table.csv"
 
@@ -83,8 +83,9 @@ def test_ganea_upper():
     for n in range(2, 9):
         assert ganea_upper(n, n) == 1
     assert ganea_upper(0, 1) == 0
-    with pytest.raises(InvalidConnectivity):
-        ganea_upper(4, 0)
+    for r in (0, -1):
+        with pytest.raises(InvalidParams, match="^connectivity parameter r must be at least 1$"):
+            ganea_upper(4, r)
     with pytest.raises(InvalidParams):
         ganea_upper(-1, 1)
     for args in ((4, 1.5), (4.0, 2), (True, 1)):

@@ -14,9 +14,10 @@ from lscat.cover import (
     default_cover,
     multiplicity_audit,
 )
-from lscat.errors import BranchViolation, DimensionMismatch, NoConvergence, NotInSpace
+from lscat.errors import (BranchViolation, DimensionMismatch, NoConvergence, NotInSpace,
+                          OddMultiplicity)
 from lscat.homotopy import branch_log, contract
-from lscat.linalg_core import MEMBERSHIP_TOL
+from lscat.linalg_core import CLUSTER_TOL, MEMBERSHIP_TOL, EigenDecomposition
 from lscat.spaces import (
     Family,
     SpaceKind,
@@ -188,6 +189,27 @@ def test_multiplicity_audit_chained_cluster_is_one_even_cluster_of_26():
     [(eigenvalue, multiplicity)] = multiplicity_audit(pt)
     assert multiplicity == 26
     assert eigenvalue == pytest.approx(1.0, abs=1e-12)
+
+
+def test_multiplicity_audit_links_clusters_across_the_cut():
+    # e^{+-i(pi - 0.4 CLUSTER_TOL)} are 0.8 CLUSTER_TOL apart across the cut at pi,
+    # so their four copies are one cluster at -1, listed first as the cut's
+    # two ends are joined; +-i stay apart
+    pt = diagonal_aii_member(np.exp(1j * np.array([np.pi - 0.4 * CLUSTER_TOL,
+                                                   -np.pi + 0.4 * CLUSTER_TOL,
+                                                   np.pi / 2, -np.pi / 2])))
+    out = multiplicity_audit(pt)
+    assert [c for _, c in out] == [4, 2, 2]
+    assert [e for e, _ in out] == [pytest.approx(-1.0, abs=1e-12), pytest.approx(-1j, abs=1e-12),
+                                   pytest.approx(1j, abs=1e-12)]
+
+
+def test_multiplicity_audit_raises_on_an_odd_cluster(monkeypatch):
+    # a member whose solved spectrum reads one lone eigenvalue and a triple
+    lam = np.exp(1j * np.array([-1.0, 0.5, 0.5, 0.5]))
+    monkeypatch.setattr("lscat.cover.eig_normal", lambda X: EigenDecomposition(np.eye(4), lam))
+    with pytest.raises(OddMultiplicity, match="^eigenvalue cluster of odd size 1 found$"):
+        multiplicity_audit(SpacePoint(SpaceKind.aii(2), np.eye(4)))
 
 
 def test_multiplicity_audit_then_classify_makes_one_eigensolve(eigh_calls):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from lscat.errors import ComponentObstruction, DimensionMismatch, NotInSpace
+from lscat import factorizations
+from lscat.errors import ComponentObstruction, DimensionMismatch, NoConvergence, NotInSpace
 from lscat.factorizations import factor_aii, factor_skew, factor_symmetric
 from lscat.spaces import (
     SpaceKind,
@@ -168,6 +169,29 @@ def test_factor_skew_rejects_bad_inputs():
         factor_skew(np.zeros((3, 3)))
     with pytest.raises(NotInSpace):
         factor_skew(np.eye(4))
+
+
+@pytest.fixture
+def off_root(monkeypatch):
+    """Shift every entry of the principal root by 1e-6, far past the residual gate."""
+    root = factorizations._principal_root
+
+    def shifted(X):
+        Y, det = root(X)
+        return Y + 1e-6, det
+
+    monkeypatch.setattr(factorizations, "_principal_root", shifted)
+
+
+def test_factor_symmetric_gates_its_residual(off_root):
+    X = sample_points(SpaceKind.ai(3), count=1, seed=4)[0].matrix
+    with pytest.raises(NoConvergence, match="^symmetric factorization residual "):
+        factor_symmetric(X)
+
+
+def test_factor_skew_gates_its_residual(off_root):
+    with pytest.raises(NoConvergence, match="^skew factorization residual "):
+        factor_skew(structural_J(2))
 
 
 def test_factor_aii_scalar_cases():

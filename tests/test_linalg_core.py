@@ -17,7 +17,6 @@ from lscat.linalg_core import (
     _spectral_product,
     angular_distance,
     as_matrix,
-    cluster_angles,
     eig_normal,
     matrix_from_json,
     matrix_to_json,
@@ -405,17 +404,6 @@ def test_angular_distance_folding():
     assert angular_distance(0.1, 2 * np.pi - 0.1) == pytest.approx(0.2)
     assert angular_distance(np.pi, 0.0) == pytest.approx(np.pi)
     assert angular_distance(1.0, 1.0) == 0.0
-
-
-def test_cluster_angles_wraparound():
-    # the first two are 0.8 CLUSTER_TOL apart across the cut at pi
-    angles = np.array([np.pi - 0.4 * CLUSTER_TOL, -np.pi + 0.4 * CLUSTER_TOL, np.pi / 2])
-    clusters = cluster_angles(angles)
-    sizes = sorted(len(c) for c in clusters)
-    assert sizes == [1, 2]
-    merged = next(c for c in clusters if len(c) == 2)
-    assert set(merged) == {0, 1}
-    assert cluster_angles([]) == []
 
 
 def test_matrix_json_roundtrip():
