@@ -1,10 +1,10 @@
 """Command-line front end.
 
 JSON records go to stdout (one document per line), human-readable summaries
-go to stderr.  Exit codes, set by run alone: 0 success, 1 domain errors
-(handlers raise them), 2 usage errors.  All randomness comes from --seed.
-The records of log, contract, cover and describe are the fields of the
-library's result dataclasses, in their declared order.
+go to stderr.  Exit codes, set by run alone: 0 success, 2 usage errors, and 1
+for an LscatError, ValueError (a malformed record) or OSError from a handler;
+any other exception propagates.  All randomness comes from --seed.  The records
+of log, contract, cover and describe hold their result dataclass's fields, in order.
 
 The commands live in one table, _COMMANDS.  Each declares its arguments
 once, on its own parser, which parses a run whose first argument names the
@@ -37,8 +37,9 @@ from .spaces import (
     Family,
     SpaceKind,
     SpacePoint,
+    _made_point,
     _member_stacks,
-    is_member,
+    _membership,
     point_from_json,
     point_to_json,
 )
@@ -147,14 +148,14 @@ def _cmd_sample(parser, args) -> None:
     kind = _kind_from_flags(parser, args)
     for stack in _member_stacks(kind, args.count, args.seed):
         for X in stack:
-            _emit(point_to_json(SpacePoint(kind, X)))
+            _emit(point_to_json(_made_point(kind, X)))
     _note(f"sampled {args.count} point(s) of {kind.family.value}({kind.n})")
 
 
 def _cmd_check(parser, args) -> None:
     worst = 0.0
     for point in _points_from_input(parser, args):
-        report = is_member(point.kind, point.matrix)
+        report = _membership(point.kind, point.matrix)
         worst = max(worst, report.max_residual)
         _emit(_membership_json(point, report))
     _note(f"checked membership; worst residual {worst:.3e}")
@@ -323,7 +324,7 @@ def run(argv: list[str]) -> int:
         args.func(args)
     except SystemExit as exc:  # a usage error, in parsing or from a command's parser
         return int(exc.code or 0)
-    except (LscatError, ValueError, KeyError, OSError) as exc:
+    except (LscatError, ValueError, OSError) as exc:
         _note(f"error: {exc}")
         return 1
     return 0

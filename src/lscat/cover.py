@@ -43,7 +43,7 @@ from .linalg_core import (
     angular_distance,
     eig_normal,
 )
-from .spaces import Family, SpaceKind, SpacePoint, _member_stacks, is_member
+from .spaces import Family, SpaceKind, SpacePoint, _member_stacks, _membership
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,7 @@ def multiplicity_audit(point: SpacePoint) -> list[tuple[complex, int]]:
     """
     if point.kind.family is not Family.AII:
         raise DimensionMismatch("multiplicity audit applies to AII points")
-    report = is_member(point.kind, point.matrix)
+    report = _membership(point.kind, point.matrix)
     if not report.member:
         raise NotInSpace(
             f"input fails the membership laws (max residual {report.max_residual:.3e})"

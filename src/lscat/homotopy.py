@@ -33,8 +33,8 @@ from .cover import classify, default_cover
 from .errors import BranchViolation, MembershipDrift, NotInSpace
 from .linalg_core import (BRANCH_MARGIN, MEMBERSHIP_TOL, TWO_PI, EigenDecomposition,
                           _finite_angle, _positive_int, _spectral_product, eig_normal)
-from .spaces import (Family, MembershipReport, SpaceKind, SpacePoint, _membership, _path_point,
-                     _swap_halves, is_member)
+from .spaces import (Family, MembershipReport, SpaceKind, SpacePoint, _made_point, _membership,
+                     _swap_halves)
 
 #: Unit roundoff of float64.
 _UNIT_ROUNDOFF = 2.0**-53
@@ -60,10 +60,10 @@ class BranchLog:
 class PathSample:
     """One point of a contraction path, with an upper bound on each law's residual.
 
-    The source, at s = 0, carries its is_member report.  Every later sample
-    carries the path's certified bounds, or, where they do not certify the
-    path, the residuals measured on the sample; member is whether every
-    bound is at most MEMBERSHIP_TOL.
+    The source, at s = 0, carries its _membership report, the bits is_member
+    gives its matrix.  Every later sample carries the path's certified
+    bounds, or, where they do not certify the path, the residuals measured
+    on the sample; member is whether every bound is at most MEMBERSHIP_TOL.
     """
 
     s: float
@@ -181,7 +181,7 @@ def _contraction(point: SpacePoint, alpha: float | None, steps: int, measure: bo
     angle_target = TWO_PI * winding / kind.ambient_size
 
     def samples() -> Iterator[PathSample]:
-        report = is_member(kind, point.matrix)
+        report = _membership(kind, point.matrix)
         if not report.member:
             raise NotInSpace(f"source is not a member of {kind.family.value}({kind.n}) "
                              f"(residual {report.max_residual:.3e})")
@@ -200,7 +200,7 @@ def _contraction(point: SpacePoint, alpha: float | None, steps: int, measure: bo
                         f"(residual {report.max_residual:.3e})"
                     )
             # F is finite: a certified bound or a measured residual below the drift gate says so
-            yield PathSample(s=s, point=_path_point(kind, F), residuals=report)
+            yield PathSample(s=s, point=_made_point(kind, F), residuals=report)
 
     return alpha, complex(np.exp(1j * angle_target)), samples()
 
@@ -214,8 +214,8 @@ def contract(point: SpacePoint, alpha: float | None = None, steps: int = 16) -> 
     the ambient side.  It commutes with H = P diag(i theta) P*, so the
     sample at s is P diag(exp(i((1 - s) theta + s 2 pi k / m))) P*, formed
     on the same eigendecomposition.  The sample at s = 0 is the source
-    itself, with its is_member report; a source that is_member rejects
-    raises NotInSpace.  Every later sample is a matrix function of the
+    itself, with its _membership report, is_member's bits; a rejected
+    source raises NotInSpace.  Every later sample is a matrix function of the
     source, and carries upper bounds on its residuals, not measurements: one
     check of the basis P bounds each law at every s in (0, 1].  Where a
     bound exceeds MEMBERSHIP_TOL, as from side m = 146 on, or for a basis P

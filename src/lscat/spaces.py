@@ -16,14 +16,14 @@ J's block layout and sign live in _swap_halves alone: here and in
 factorizations every product with J is a signed swap of a matrix's halves,
 and the AII twin J X tJ is two such swaps.
 
-Membership is one formula, _membership: the norms of X X* - E and of the
-symmetry defect tX - twin, and |det X - 1|.  is_member, the contraction's
-measured samples and both factorizations' input checks all call it.
+Membership is one formula, _membership: the norms of X X* - E, of the symmetry
+defect tX - twin and of det X - 1.  is_member applies it to outside input;
+contract, multiplicity_audit, lscat check and the factorizations to what they hold.
 
-Sampling is stacked: one draw forms a (c, m, m) array of points with
-stacked QR, determinant, phase and products, at most 2^16 complex entries
-per array, so a long run holds one chunk at a time.  It reproduces the
-one-matrix draw bit for bit.
+Sampling is stacked, and reproduces the one-matrix draw bit for bit: one
+draw forms a (c, m, m) array of points with stacked QR, determinant, phase
+and products, at most 2^16 complex entries per array, so a long run holds
+one chunk at a time.  Draws and path samples skip as_matrix's scan (_made_point).
 """
 
 from __future__ import annotations
@@ -101,8 +101,8 @@ class SpacePoint:
         object.__setattr__(self, "matrix", m)
 
 
-def _path_point(kind: SpaceKind, X: np.ndarray) -> SpacePoint:
-    """SpacePoint(kind, X) without as_matrix's scan, for a finite complex X of kind's side."""
+def _made_point(kind: SpaceKind, X: np.ndarray) -> SpacePoint:
+    """SpacePoint(kind, X) without as_matrix's scan, for a finite complex128 X the library made."""
     point = object.__new__(SpacePoint)
     object.__setattr__(point, "kind", kind)
     object.__setattr__(point, "matrix", X)
@@ -159,8 +159,8 @@ def is_member(kind: SpaceKind, X) -> MembershipReport:
     Unitarity ||X X* - E||, determinant |det X - 1|, and the family's
     symmetry law: ||tX - X|| for AI, ||tX - J X tJ|| for AII.  The verdict
     is true when all residuals, inf where they overflow, are at most
-    MEMBERSHIP_TOL.  An X of the wrong side raises DimensionMismatch, as
-    SpacePoint(kind, X) does.
+    MEMBERSHIP_TOL.  For outside input: X passes SpacePoint(kind, X)'s checks
+    (ValueError, DimensionMismatch), then _membership, which held points call directly.
     """
     return _membership(kind, SpacePoint(kind, X).matrix)
 
@@ -218,7 +218,7 @@ def _member_stacks(kind: SpaceKind, count: int, seed: int) -> Iterator[np.ndarra
 def sample_points(kind: SpaceKind, count: int, seed: int) -> list[SpacePoint]:
     """Draw count points of the space, deterministically from the seed."""
     count = _positive_int("count", count)
-    return [SpacePoint(kind, X) for stack in _member_stacks(kind, count, seed) for X in stack]
+    return [_made_point(kind, X) for stack in _member_stacks(kind, count, seed) for X in stack]
 
 
 def sample(kind: SpaceKind, seed: int) -> SpacePoint:

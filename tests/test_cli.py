@@ -10,12 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lscat import cli
+from lscat import cli, spaces
 from lscat.cli import run
-from lscat.cover import classify, default_cover
+from lscat.cover import classify, default_cover, multiplicity_audit
+from lscat.errors import NotInSpace
 from lscat.homotopy import branch_log, contract
 from lscat.linalg_core import _finite_angle, _int_at_least, matrix_to_json
-from lscat.spaces import is_member, point_from_json
+from lscat.spaces import (MembershipReport, SpaceKind, SpacePoint, is_member, point_from_json, sample,
+                          sample_points)
 
 GOLDEN = Path(__file__).parent / "data" / "table.csv"
 
@@ -463,6 +465,66 @@ def test_record_errors_name_the_missing_field(capsys, tmp_path, record, field):
     assert invoke(capsys, ["check", "--input", str(path)]) == (
         1, "", f"error: record has no field {field!r}\n"
     )
+
+
+def test_run_lets_an_unexpected_error_propagate(capsys, monkeypatch):
+    # exit 1 is for the errors a command raises on bad input; a KeyError is a bug
+    def broken(*args):
+        raise KeyError("family")
+
+    monkeypatch.setattr(cli, "describe", broken)
+    with pytest.raises(KeyError):
+        run(["describe", "--family", "ai", "--params", "3"])
+
+
+def _bits(report):
+    laws = (report.unitarity, report.determinant, report.symmetry)
+    return (*(float.hex(r) for r in laws), report.member)
+
+
+def test_held_and_made_points_are_scanned_only_where_they_enter(capsys, tmp_path, monkeypatch):
+    # SpacePoint validates a matrix with as_matrix; a point the library holds is
+    # checked by the membership formula alone, and one it makes is not scanned
+    points = [sample(SpaceKind.ai(4), 3), sample(SpaceKind.aii(3), 3)]
+    nonmember = SpacePoint(points[1].kind, points[1].matrix + 1e-6)
+    argv = ["sample", "--space", "aii", "--n", "3", "--count", "3", "--seed", "5"]
+    path, drawn = sample_to_file(capsys, tmp_path, argv[1:])
+    records = [*drawn.splitlines(), json.dumps({"family": "AII", "n": 3,
+                                                "matrix": matrix_to_json(nonmember.matrix)})]
+    path.write_text("\n".join(records) + "\n")
+    scans, as_matrix = [], spaces.as_matrix
+
+    def counting(x):
+        scans.append(x)
+        return as_matrix(x)
+
+    monkeypatch.setattr(spaces, "as_matrix", counting)
+
+    def scans_of(call):
+        scans.clear()
+        result = call()
+        return len(scans), result
+
+    for point in points:
+        count, path_ = scans_of(lambda: contract(point))
+        assert count == 0
+        assert _bits(path_.samples[0].residuals) == _bits(is_member(point.kind, point.matrix))
+    assert scans_of(lambda: multiplicity_audit(points[1]))[0] == 0
+    report = is_member(nonmember.kind, nonmember.matrix)
+    with pytest.raises(NotInSpace, match=f"{report.max_residual:.3e}"):
+        scans_of(lambda: multiplicity_audit(nonmember))
+    assert scans == []
+    count, made = scans_of(lambda: sample_points(SpaceKind.aii(3), 5, 5))
+    assert count == 0 and [p.matrix.dtype for p in made] == [np.complex128] * 5
+    count, (code, out, _) = scans_of(lambda: invoke(capsys, argv))
+    assert (count, code, out) == (0, 0, drawn)
+    count, (code, out, _) = scans_of(lambda: invoke(capsys, ["check", "--input", str(path)]))
+    assert code == 0 and count == len(records) == 4
+    for record, line in zip(records, out.splitlines()):
+        point, doc = point_from_json(json.loads(record)), json.loads(line)
+        printed = MembershipReport(doc["unitarity"], doc["determinant"], doc["symmetry"],
+                                   doc["member"])
+        assert _bits(printed) == _bits(is_member(point.kind, point.matrix))
 
 
 def test_contract_rejects_unitary_nonmember(capsys, tmp_path):
