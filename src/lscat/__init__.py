@@ -48,7 +48,6 @@ from .homotopy import (
 from .linalg_core import (
     EigenDecomposition,
     eig_normal,
-    matrix_from_json,
     matrix_to_json,
 )
 from .spaces import (
@@ -98,7 +97,6 @@ __all__ = [
     "contract",
     "EigenDecomposition",
     "eig_normal",
-    "matrix_from_json",
     "matrix_to_json",
     "Family",
     "MembershipReport",

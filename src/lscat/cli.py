@@ -32,7 +32,7 @@ from .cover import classify, cover_audit, default_cover
 from .errors import LscatError
 from .factorizations import factor_aii, factor_symmetric
 from .homotopy import _branch_angle, _contraction, branch_log
-from .linalg_core import _finite_angle, _int_at_least, matrix_from_json, matrix_to_json
+from .linalg_core import _finite_angle, _int_at_least, _json_matrix, matrix_to_json
 from .spaces import (
     Family,
     SpaceKind,
@@ -129,7 +129,7 @@ def _points_from_input(parser, args) -> Iterator[SpacePoint]:
         if "matrix" in rec:
             yield point_from_json(rec)
         elif "entries" in rec:
-            yield SpacePoint(_kind_from_flags(parser, args), matrix_from_json(rec))
+            yield SpacePoint(_kind_from_flags(parser, args), _json_matrix(rec))
         else:
             raise ValueError("record is neither a point nor a bare matrix")
 

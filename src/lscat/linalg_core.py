@@ -200,8 +200,10 @@ def matrix_to_json(m) -> dict:
     return {"n": int(m.shape[0]), "entries": entries}
 
 
-def _field(doc: dict, name: str):
-    """doc[name]; ValueError naming the field when the record lacks it."""
+def _field(doc, name: str):
+    """doc[name]; ValueError unless doc is a JSON object, naming the field when doc lacks it."""
+    if not isinstance(doc, dict):
+        raise ValueError("expected a JSON object")
     if name not in doc:
         raise ValueError(f"record has no field {name!r}")
     return doc[name]
@@ -225,16 +227,9 @@ def _finite_angle(value):
     return value
 
 
-def _json_side(doc) -> int:
-    """The field n of a JSON object record; ValueError unless an integer >= 1."""
-    if not isinstance(doc, dict):
-        raise ValueError("expected a JSON object")
-    return _positive_int("n", _field(doc, "n"))
-
-
-def matrix_from_json(doc: dict) -> np.ndarray:
-    """Parse the matrix JSON format; ValueError unless it holds n*n [re, im] number pairs."""
-    n = _json_side(doc)
+def _json_matrix(doc) -> np.ndarray:
+    """Matrix JSON as an n x n complex view; checks the format only, SpacePoint scans the entries."""
+    n = _positive_int("n", _field(doc, "n"))
     entries = _field(doc, "entries")
     try:
         pairs = np.array(entries)
@@ -245,4 +240,4 @@ def matrix_from_json(doc: dict) -> np.ndarray:
         type(entries[k // 2][k % 2]) is bool for k in np.flatnonzero((pairs == 0) | (pairs == 1))
     ):
         raise ValueError(f"expected {n * n} [re, im] number pairs for side {n}")
-    return as_matrix(pairs.astype(float, copy=False).view(complex).reshape(n, n))
+    return pairs.astype(float, copy=False).view(complex).reshape(n, n)

@@ -23,7 +23,10 @@ contract, multiplicity_audit, lscat check and the factorizations to what they ho
 Sampling is stacked, and reproduces the one-matrix draw bit for bit: one
 draw forms a (c, m, m) array of points with stacked QR, determinant, phase
 and products, at most 2^16 complex entries per array, so a long run holds
-one chunk at a time.  Draws and path samples skip as_matrix's scan (_made_point).
+one chunk at a time.  Draws and path samples skip SpacePoint's scan (_made_point);
+matrix_to_json and eig_normal still scan what they get, so lscat sample scans
+each draw once, when it writes it.  point_from_json checks each record field
+once: _field, then SpaceKind, _json_matrix (the format) and SpacePoint (the scan).
 """
 
 from __future__ import annotations
@@ -40,10 +43,9 @@ from .linalg_core import (
     MEMBERSHIP_TOL,
     _field,
     _int_at_least,
-    _json_side,
+    _json_matrix,
     _positive_int,
     as_matrix,
-    matrix_from_json,
     matrix_to_json,
 )
 
@@ -85,7 +87,8 @@ class SpaceKind:
 class SpacePoint:
     """A kind together with an ambient matrix of the matching side.
 
-    Construction checks only the dimension; run is_member for the laws.
+    Construction runs as_matrix's shape and finite checks, then the side check,
+    but no law (run is_member); it is the one scan of a JSON record's matrix.
     """
 
     kind: SpaceKind
@@ -235,5 +238,5 @@ def point_to_json(point: SpacePoint) -> dict:
 
 
 def point_from_json(doc: dict) -> SpacePoint:
-    kind = SpaceKind(Family(_field(doc, "family")), _json_side(doc))
-    return SpacePoint(kind, matrix_from_json(_field(doc, "matrix")))
+    return SpacePoint(SpaceKind(_field(doc, "family"), _field(doc, "n")),
+                      _json_matrix(_field(doc, "matrix")))

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lscat import cli, spaces
+from lscat import cli, linalg_core, spaces
 from lscat.cli import run
 from lscat.cover import classify, default_cover, multiplicity_audit
 from lscat.errors import NotInSpace
@@ -525,6 +525,65 @@ def test_held_and_made_points_are_scanned_only_where_they_enter(capsys, tmp_path
         printed = MembershipReport(doc["unitarity"], doc["determinant"], doc["symmetry"],
                                    doc["member"])
         assert _bits(printed) == _bits(is_member(point.kind, point.matrix))
+
+
+def test_each_record_is_scanned_once(capsys, tmp_path, monkeypatch):
+    # the record readers parse the matrix format only; SpacePoint's as_matrix is the one scan
+    path, drawn = sample_to_file(capsys, tmp_path, ["--space", "aii", "--n", "2",
+                                                    "--count", "4", "--seed", "3"])
+    docs = [json.loads(line) for line in drawn.splitlines()]
+    bare = tmp_path / "bare.ndjson"
+    bare.write_text("".join(json.dumps(doc["matrix"]) + "\n" for doc in docs))
+    scans, as_matrix = [], spaces.as_matrix
+
+    def counting(x):
+        scans.append(x)
+        return as_matrix(x)
+
+    monkeypatch.setattr(spaces, "as_matrix", counting)
+    monkeypatch.setattr(linalg_core, "as_matrix", counting)
+    point_from_json(docs[0])
+    assert len(scans) == 1
+    for argv in (["check", "--input", str(path)],
+                 ["check", "--space", "aii", "--n", "2", "--input", str(bare)]):
+        scans.clear()
+        code, out, _ = invoke(capsys, argv)
+        assert code == 0 and len(out.splitlines()) == len(scans) == len(docs)
+
+
+_RECORD_COMMANDS = [["check"], ["factor"], ["log", "--alpha", "0.3"],
+                    ["contract", "--alpha", "0.3"], ["cover"]]
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize("bare", [False, True], ids=["point", "bare"])
+def test_records_with_non_finite_entries_are_rejected(capsys, tmp_path, token, bare):
+    # the JSON reader takes NaN and the infinities, and reads 1e400 as inf
+    good = json.loads(invoke(capsys, ["sample", "--space", "ai", "--n", "2", "--seed", "3"])[1])
+    entries = [["@", 0.0], *good["matrix"]["entries"][1:]]
+    bad = json.dumps({**good["matrix"], "entries": entries}).replace('"@"', token)
+    if bare:
+        good = good["matrix"]
+    else:
+        bad = f'{{"family": "AI", "n": 2, "matrix": {bad}}}'
+    flags = ["--space", "ai", "--n", "2"] if bare else []
+    only_good, both = tmp_path / "good.ndjson", tmp_path / "both.ndjson"
+    only_good.write_text(json.dumps(good) + "\n")
+    both.write_text(json.dumps(good) + "\n" + bad + "\n")
+    for command in _RECORD_COMMANDS:
+        code, want, _ = invoke(capsys, [*command, *flags, "--input", str(only_good)])
+        assert code == 0 and want
+        code, out, err = invoke(capsys, [*command, *flags, "--input", str(both)])
+        assert (code, out, err.splitlines()[-1]) == (1, want, "error: matrix entries must be finite")
+
+
+def test_records_of_the_wrong_side_are_rejected(capsys, tmp_path):
+    path = tmp_path / "side.ndjson"
+    path.write_text(json.dumps({"family": "AI", "n": 2,
+                                "matrix": {"n": 1, "entries": [[1.0, 0.0]]}}) + "\n")
+    for command in _RECORD_COMMANDS:
+        assert invoke(capsys, [*command, "--input", str(path)]) == (
+            1, "", "error: AI(2) needs side 2, got 1\n")
 
 
 def test_contract_rejects_unitary_nonmember(capsys, tmp_path):

@@ -14,11 +14,11 @@ from lscat.linalg_core import (
     CLUSTER_TOL,
     MEMBERSHIP_TOL,
     _eig_stack,
+    _json_matrix,
     _spectral_product,
     angular_distance,
     as_matrix,
     eig_normal,
-    matrix_from_json,
     matrix_to_json,
 )
 from lscat.cover import cover_audit, multiplicity_audit
@@ -411,7 +411,7 @@ def test_matrix_json_roundtrip():
     m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     doc = matrix_to_json(m)
     assert doc["n"] == 3 and len(doc["entries"]) == 9
-    back = matrix_from_json(doc)
+    back = _json_matrix(doc)
     assert np.array_equal(back, m)
 
 
@@ -442,7 +442,7 @@ def test_as_matrix_takes_views_whose_last_axis_is_strided():
 
 def test_matrix_json_rejects_bad_shape():
     with pytest.raises(ValueError):
-        matrix_from_json({"n": 2, "entries": [[1.0, 0.0]]})
+        _json_matrix({"n": 2, "entries": [[1.0, 0.0]]})
     with pytest.raises(ValueError, match="square"):
         as_matrix(np.zeros((2, 3)))
     with pytest.raises(ValueError, match="at least 1"):

@@ -8,7 +8,7 @@ import pytest
 
 from lscat.errors import DimensionMismatch, NotInSpace
 from lscat.factorizations import factor_skew
-from lscat.linalg_core import eig_normal
+from lscat.linalg_core import eig_normal, matrix_to_json
 from lscat.spaces import (
     Family,
     SpaceKind,
@@ -302,3 +302,18 @@ def test_point_json_roundtrip():
     back = point_from_json(doc)
     assert back.kind == pt.kind
     assert np.array_equal(back.matrix, pt.matrix)
+
+
+@pytest.mark.parametrize("doc", [5, None, ["family"], "x", [1, 2],
+                                 {"family": "AI", "n": 1, "matrix": [[1.0, 0.0]]}])
+def test_point_from_json_takes_only_objects(doc):
+    # 5, None and ["family"] escaped as TypeError; "x" and [1, 2] read as lacking a field
+    with pytest.raises(ValueError, match=r"^expected a JSON object$"):
+        point_from_json(doc)
+
+
+def test_point_from_json_reads_a_bare_matrix_with_its_kind():
+    X = sample(SpaceKind.ai(3), seed=5).matrix
+    doc = matrix_to_json(X)
+    point = point_from_json({"family": "AI", "n": doc["n"], "matrix": doc})
+    assert point.matrix.dtype == np.complex128 and np.array_equal(point.matrix, X)
