@@ -13,9 +13,9 @@ subparsers take their arguments from the command parsers, parses any other
 argv (none, -h, a typo).  Each parser is built once per process: parsers
 keep no state, and argparse looks up sys.stdout and sys.stderr to print.
 
-The CLI parses text and keeps one value rule, the side ceiling _MAX_SIDE; the library
-owns the rest: counts, seeds and --alpha pass its checks, whose ValueError is the
-usage error's text, and the family choices are the values of Family and ClassicalFamily.
+The CLI owns I/O, flags and one value rule, the side ceiling _MAX_SIDE; the library owns
+the rest: spaces decides what a record is, counts, seeds and --alpha pass its checks, whose
+ValueError is the usage error's text, and the family choices are Family's and ClassicalFamily's.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .cover import classify, cover_audit, default_cover
 from .errors import LscatError
 from .factorizations import factor_aii, factor_symmetric
 from .homotopy import _branch_angle, _contraction, branch_log
-from .linalg_core import _finite_angle, _int_at_least, _json_matrix, matrix_to_json
+from .linalg_core import _finite_angle, _int_at_least, matrix_to_json
 from .spaces import (
     Family,
     SpaceKind,
@@ -40,7 +40,7 @@ from .spaces import (
     _made_point,
     _member_stacks,
     _membership,
-    point_from_json,
+    _point_of_record,
     point_to_json,
 )
 
@@ -105,9 +105,9 @@ def _kind_from_flags(parser, args) -> SpaceKind:
     return kind
 
 
-def _read_records(path: str) -> Iterator:
-    """Yield the JSON document of each non-blank line as it is read."""
-    stream = sys.stdin if path == "-" else open(path, "r", encoding="utf-8")
+def _points_from_input(parser, args) -> Iterator[SpacePoint]:
+    """Yield the point of each non-blank input line as it is read."""
+    stream = sys.stdin if args.input == "-" else open(args.input, "r", encoding="utf-8")
     try:
         for line in stream:
             if line.strip():
@@ -115,23 +115,10 @@ def _read_records(path: str) -> Iterator:
                     record = json.loads(line)
                 except RecursionError:
                     raise ValueError("record nests too deeply") from None
-                yield record
+                yield _point_of_record(record, lambda: _kind_from_flags(parser, args))
     finally:
         if stream is not sys.stdin:
             stream.close()
-
-
-def _points_from_input(parser, args) -> Iterator[SpacePoint]:
-    """Yield one point per input record, parsing each only when it is needed."""
-    for rec in _read_records(args.input):
-        if not isinstance(rec, dict):
-            raise ValueError(f"record must be a JSON object, got {rec!r:.40}")
-        if "matrix" in rec:
-            yield point_from_json(rec)
-        elif "entries" in rec:
-            yield SpacePoint(_kind_from_flags(parser, args), _json_matrix(rec))
-        else:
-            raise ValueError("record is neither a point nor a bare matrix")
 
 
 def _membership_json(point: SpacePoint, report) -> dict:

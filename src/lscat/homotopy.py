@@ -138,7 +138,7 @@ def _certificate(kind: SpaceKind, P: np.ndarray, theta: np.ndarray,
     and W by about delta each; delta counts the Gram product's own rounding.
     Terms of second order in delta stay below tau wherever the bounds
     certify.  A real P, the eigenbasis of an AI point equal to its
-    transpose, makes F, P* P, W and det P real computations: each entry of
+    transpose, makes F, W and det P real computations, and P* P is W: each entry of
     Re F and of Im F is one real dot product of length m, of a row of P with
     a column of tP scaled by cos or sin of the phase, so it rounds by at most
     gamma_{m+1} times the same sum of absolute terms, and |cos| + |sin| <=
@@ -152,10 +152,10 @@ def _certificate(kind: SpaceKind, P: np.ndarray, theta: np.ndarray,
     det_rounding = 4.0 * math.sqrt(m) * tau
     if det_rounding > MEMBERSHIP_TOL:  # true from m = 146 on: no product can certify
         return None
-    G = P.conj().T @ P
+    W = P.T @ (P if kind.family is Family.AI else _swap_halves(P, -2))
+    G = W.copy() if kind.family is Family.AI and P.dtype.kind == "f" else P.conj().T @ P
     G.reshape(-1)[:: m + 1] -= 1.0  # matmul makes G C-ordered, so this is a view
     delta = float(np.linalg.norm(G)) + tau
-    W = P.T @ (P if kind.family is Family.AI else _swap_halves(P, -2))
     unitarity = 2.0 * delta + 3.0 * tau
     determinant = (abs(abs(complex(np.linalg.det(P))) ** 2 - 1.0) + det_rounding,
                    abs(float(np.sum(theta)) - TWO_PI * winding))

@@ -203,7 +203,7 @@ def matrix_to_json(m) -> dict:
 def _field(doc, name: str):
     """doc[name]; ValueError unless doc is a JSON object, naming the field when doc lacks it."""
     if not isinstance(doc, dict):
-        raise ValueError("expected a JSON object")
+        raise ValueError(f"expected a JSON object, got {doc!r:.40}")
     if name not in doc:
         raise ValueError(f"record has no field {name!r}")
     return doc[name]

@@ -25,14 +25,14 @@ draw forms a (c, m, m) array of points with stacked QR, determinant, phase
 and products, at most 2^16 complex entries per array, so a long run holds
 one chunk at a time.  Draws and path samples skip SpacePoint's scan (_made_point);
 matrix_to_json and eig_normal still scan what they get, so lscat sample scans
-each draw once, when it writes it.  point_from_json checks each record field
-once: _field, then SpaceKind, _json_matrix (the format) and SpacePoint (the scan).
+each draw once, when it writes it.  _point_of_record alone tells a bare record from a
+point, whose fields point_from_json checks once each; _field's is the one object check and text.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -240,3 +240,11 @@ def point_to_json(point: SpacePoint) -> dict:
 def point_from_json(doc: dict) -> SpacePoint:
     return SpacePoint(SpaceKind(_field(doc, "family"), _field(doc, "n")),
                       _json_matrix(_field(doc, "matrix")))
+
+
+def _point_of_record(doc, bare_kind: Callable[[], SpaceKind]) -> SpacePoint:
+    """A bare matrix of bare_kind() if doc is an object with entries and no matrix, else
+    point_from_json(doc).  The dict test goes first: on a str, `in` is a substring test."""
+    if isinstance(doc, dict) and "entries" in doc and "matrix" not in doc:
+        return SpacePoint(bare_kind(), _json_matrix(doc))
+    return point_from_json(doc)

@@ -2,13 +2,19 @@
 
 import argparse
 import contextlib
+import io
 import json
+import math
 import os
+import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lscat import cli, linalg_core, spaces
 from lscat.cli import run
@@ -16,8 +22,8 @@ from lscat.cover import classify, default_cover, multiplicity_audit
 from lscat.errors import NotInSpace
 from lscat.homotopy import branch_log, contract
 from lscat.linalg_core import _finite_angle, _int_at_least, matrix_to_json
-from lscat.spaces import (MembershipReport, SpaceKind, SpacePoint, is_member, point_from_json, sample,
-                          sample_points)
+from lscat.spaces import (MembershipReport, SpaceKind, SpacePoint, is_member, point_from_json,
+                          point_to_json, sample, sample_points)
 
 GOLDEN = Path(__file__).parent / "data" / "table.csv"
 
@@ -446,7 +452,7 @@ def test_domain_errors_exit_1(capsys, tmp_path):
         {"n": 1, "entries": [[True, 0]]},
         {"n": 1, "entries": [[1.5, True]]},
         {"n": 1, "entries": [[1, 0], [1]]},
-        {"n": 1},  # neither a point nor a bare matrix
+        {"n": 1},  # neither a point nor a bare matrix: names its missing field
     ):
         bad.write_text(json.dumps(record) + "\n")
         code, out, err = invoke(capsys, ["check", "--space", "ai", "--n", "1",
@@ -458,6 +464,7 @@ def test_domain_errors_exit_1(capsys, tmp_path):
     ({"family": "AI", "n": 1, "matrix": {"n": 1}}, "entries"),
     ({"family": "AI", "n": 1, "matrix": {"entries": [[1, 0]]}}, "n"),
     ({"n": 1, "matrix": {"n": 1, "entries": [[1, 0]]}}, "family"),
+    ({"n": 1}, "family"),  # neither a point nor a bare matrix: read as a point
 ])
 def test_record_errors_name_the_missing_field(capsys, tmp_path, record, field):
     path = tmp_path / "missing_field.ndjson"
@@ -584,6 +591,69 @@ def test_records_of_the_wrong_side_are_rejected(capsys, tmp_path):
     for command in _RECORD_COMMANDS:
         assert invoke(capsys, [*command, "--input", str(path)]) == (
             1, "", "error: AI(2) needs side 2, got 1\n")
+
+
+@pytest.mark.parametrize("token, shown", [
+    ("5", "5"), ('"matrix"', "'matrix'"), ("[1, 2]", "[1, 2]"), ("null", "None"),
+])
+def test_non_object_records_get_the_one_object_text(capsys, tmp_path, token, shown):
+    # "matrix" is tested as an object first: on a str, `in` is a substring test
+    good = invoke(capsys, ["sample", "--space", "ai", "--n", "2", "--seed", "3"])[1]
+    only_good, both = tmp_path / "good.ndjson", tmp_path / "both.ndjson"
+    only_good.write_text(good)
+    both.write_text(good + token + "\n")
+    for command in _RECORD_COMMANDS:
+        code, want, notes = invoke(capsys, [*command, "--input", str(only_good)])
+        assert code == 0 and want
+        code, out, err = invoke(capsys, [*command, "--input", str(both)])
+        *answered, last = err.splitlines()
+        assert (code, out, last) == (1, want, f"error: expected a JSON object, got {shown}")
+        assert answered == notes.splitlines()[:len(answered)]
+
+
+_GOOD_RECORDS = [point_to_json(sample(kind, 5)) for kind in (SpaceKind.ai(2), SpaceKind.aii(1))]
+_NUMBER = st.one_of(st.floats(-2.0, 2.0), st.integers(-2, 2), st.booleans(),
+                    st.sampled_from([math.nan, math.inf, -math.inf]))
+_PAIRS = st.lists(st.lists(_NUMBER, min_size=1, max_size=3), min_size=1, max_size=5)
+
+
+@st.composite
+def _tampered(draw):
+    """A good point record with one number of its entries replaced."""
+    record = json.loads(json.dumps(draw(st.sampled_from(_GOOD_RECORDS))))
+    entries = record["matrix"]["entries"]
+    entries[draw(st.integers(0, len(entries) - 1))][draw(st.integers(0, 1))] = draw(_NUMBER)
+    return record
+
+
+_BARE = st.one_of(_tampered().map(lambda record: record["matrix"]),
+                  st.fixed_dictionaries({"n": st.one_of(st.integers(1, 2), _NUMBER),
+                                         "entries": st.one_of(_PAIRS, _NUMBER)}))
+_POINT = st.one_of(st.sampled_from(_GOOD_RECORDS), _tampered(),
+                   st.fixed_dictionaries({"family": st.sampled_from(["AI", "AII", "AX", 1]),
+                                          "n": st.one_of(st.integers(1, 2), _NUMBER),
+                                          "matrix": st.one_of(_BARE, _NUMBER)}))
+_OTHER = st.one_of(_NUMBER, st.none(), st.sampled_from(["matrix", "entries"]), _PAIRS,
+                   st.fixed_dictionaries({}, optional={"n": _NUMBER, "family": _NUMBER}))
+_RECORD = st.one_of(_POINT, _BARE, _OTHER)
+_FUZZ_FORMS = [["check"], ["factor"], ["log", "--alpha", "0.3"], ["log", "--alpha-from-cover"],
+               ["contract", "--alpha-from-cover", "--steps", "2"], ["cover", "--input", "-"],
+               ["check", "--space", "ai", "--n", "2"], ["factor", "--space", "aii", "--n", "1"]]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(_RECORD, min_size=1, max_size=3))
+def test_any_record_stream_ends_in_an_exit_code(records):
+    # nothing escapes cli.run, and a domain error is the last line on stderr
+    text = "".join(json.dumps(record) + "\n" for record in records)
+    for argv in _FUZZ_FORMS:
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(sys, "stdin", io.StringIO(text)), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert err.getvalue().splitlines()[-1].startswith("error: ")
 
 
 def test_contract_rejects_unitary_nonmember(capsys, tmp_path):

@@ -304,12 +304,18 @@ def test_point_json_roundtrip():
     assert np.array_equal(back.matrix, pt.matrix)
 
 
-@pytest.mark.parametrize("doc", [5, None, ["family"], "x", [1, 2],
-                                 {"family": "AI", "n": 1, "matrix": [[1.0, 0.0]]}])
-def test_point_from_json_takes_only_objects(doc):
+@pytest.mark.parametrize("doc, shown", [
+    pytest.param(5, "5", id="5"), pytest.param(None, "None", id="None"),
+    pytest.param(["family"], "['family']", id="doc2"), pytest.param("x", "'x'", id="x"),
+    pytest.param([1, 2], "[1, 2]", id="doc4"),
+    pytest.param({"family": "AI", "n": 1, "matrix": [[1.0, 0.0]]}, "[[1.0, 0.0]]", id="doc5"),
+    pytest.param("m" * 50, "'" + "m" * 39, id="long"),  # the value is shown to 40 characters
+])
+def test_point_from_json_takes_only_objects(doc, shown):
     # 5, None and ["family"] escaped as TypeError; "x" and [1, 2] read as lacking a field
-    with pytest.raises(ValueError, match=r"^expected a JSON object$"):
+    with pytest.raises(ValueError) as info:
         point_from_json(doc)
+    assert str(info.value) == f"expected a JSON object, got {shown}"
 
 
 def test_point_from_json_reads_a_bare_matrix_with_its_kind():
